@@ -13,13 +13,14 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from multiprocessing import Pool
 
 from .alternation import EdgeOrdering, ex_alt_sigma, ex_salt_sigma
 from .coloring import chromatic_number, coloring_from_extremal, export_dimacs
-from .errors import GraphParseError, NotEulerianError
+from .errors import CapacityError, NotEulerianError
 from .graphs import (
     Graph,
     format_graph,
@@ -200,27 +201,25 @@ def _chi_fields(cert) -> tuple[dict, str]:
 # Commands.
 # ---------------------------------------------------------------------------
 
-def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
-    """chi(KG(C_n, rK2)) versus the closed formula n - 2r + 2."""
-    started = time.time()
-    if n < 2 * r + 1:
-        raise ValueError(f"need n >= 2r+1, got n={n}, r={r}")
-    g = make_cycle(n)
+def _family_report(
+    command: str, inputs: dict, g: Graph, r: int, formula: int,
+    node_budget: int, started: float, extra: dict | None = None,
+) -> dict:
+    """chi(KG(g, rK2)) under the Euler ordering versus a closed formula."""
     ex_cert = turan_matchings(g, r)
-    sigma = euler_ordering(g)
     kg, cert, lb, bounds = _chi_for_matching_graph(
-        g, r, ex_cert, {"euler": sigma}, node_budget
+        g, r, ex_cert, {"euler": euler_ordering(g)}, node_budget
     )
     chi_fields, chi_flag = _chi_fields(cert)
-    formula = n - 2 * r + 2
     report = {
         "schema": SCHEMA,
-        "command": "schrijver",
-        "inputs": {"n": n, "r": r, "graph_sha256": _graph_sha(g)},
+        "command": command,
+        "inputs": {**inputs, "graph_sha256": _graph_sha(g)},
         "results": {
             **chi_fields,
             "formula_value": formula,
             "agrees_with_formula": cert.exact and cert.chi == formula,
+            **(extra or {}),
             "matching_graph_vertices": kg.graph.n,
             "ex": ex_cert.ex_value,
             "euler_ordering_lower_bound": lb,
@@ -232,6 +231,17 @@ def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
         },
     }
     return _finish_report(report, started)
+
+
+def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
+    """chi(KG(C_n, rK2)) versus the closed formula n - 2r + 2."""
+    started = time.time()
+    if n < 2 * r + 1:
+        raise ValueError(f"need n >= 2r+1, got n={n}, r={r}")
+    return _family_report(
+        "schrijver", {"n": n, "r": r}, make_cycle(n), r, n - 2 * r + 2,
+        node_budget, started,
+    )
 
 
 def cmd_permutation(m: int, n: int, r: int, node_budget: int = 10_000_000) -> dict:
@@ -240,35 +250,15 @@ def cmd_permutation(m: int, n: int, r: int, node_budget: int = 10_000_000) -> di
     if not (m >= n >= r >= 1):
         raise ValueError(f"need m >= n >= r >= 1, got ({m},{n},{r})")
     g = make_complete_bipartite(m, n)
-    ex_cert = turan_matchings(g, r)
-    sigma = euler_ordering(g)
-    kg, cert, lb, bounds = _chi_for_matching_graph(
-        g, r, ex_cert, {"euler": sigma}, node_budget
-    )
-    chi_fields, chi_flag = _chi_fields(cert)
-    formula = m * (n - r + 1)
-    conditions = star_formula_conditions(g, r)
-    report = {
-        "schema": SCHEMA,
-        "command": "permutation",
-        "inputs": {"m": m, "n": n, "r": r, "graph_sha256": _graph_sha(g)},
-        "results": {
-            **chi_fields,
-            "formula_value": formula,
-            "agrees_with_formula": cert.exact and cert.chi == formula,
-            "m_is_even": m % 2 == 0,
-            "even_side_formula_certified": m % 2 == 0 and conditions.applicable,
-            "matching_graph_vertices": kg.graph.n,
-            "ex": ex_cert.ex_value,
-            "euler_ordering_lower_bound": lb,
-            "bounds_by_ordering": bounds,
-        },
-        "exactness": {
-            "chi": chi_flag,
-            "ex": "certified" if ex_cert.exact else "interval",
-        },
+    m_is_even = m % 2 == 0
+    extra = {
+        "m_is_even": m_is_even,
+        "even_side_formula_certified": m_is_even and star_formula_conditions(g, r).applicable,
     }
-    return _finish_report(report, started)
+    return _family_report(
+        "permutation", {"m": m, "n": n, "r": r}, g, r, m * (n - r + 1),
+        node_budget, started, extra,
+    )
 
 
 def cmd_analyze(
@@ -283,14 +273,13 @@ def cmd_analyze(
     results: dict = {"n": g.n, "m": g.m}
     exactness: dict = {}
 
-    if g.n <= 20:
-        witness = tutte_berge(g)
-        results["nu"] = witness.nu
-        results["tutte_berge"] = {
-            "s": sorted(witness.s),
-            "deficiency": witness.deficiency,
-        }
-        exactness["nu"] = "certified"
+    witness = tutte_berge(g)
+    results["nu"] = witness.nu
+    results["tutte_berge"] = {
+        "s": sorted(witness.s),
+        "deficiency": witness.deficiency,
+    }
+    exactness["nu"] = "certified"
 
     ex_cert = turan_matchings(g, r)
     results["ex"] = ex_cert.ex_value if ex_cert.exact else None
@@ -416,11 +405,13 @@ def cmd_scan(
     started = time.time()
     if max_n > 7:
         raise ValueError("scan is limited to max_n <= 7")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [
         (g.n, g.edges, r, node_budget) for g in connected_graphs_up_to(max_n)
     ]
     if jobs > 1:
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, os.cpu_count() or 1)) as pool:
             records = pool.map(_scan_one, tasks)
     else:
         records = [_scan_one(t) for t in tasks]
@@ -533,10 +524,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         else:  # pragma: no cover
             parser.error("unknown command")
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     _emit(report, args.format, args.out)

@@ -121,7 +121,9 @@ def chromatic_number(
     The value (not the coloring) is deterministic across runs.  On budget
     exhaustion the certificate carries ``exact=False`` and sound bounds.
     ``known_lower`` must be a sound lower bound; it is trusted and recorded
-    as an "external" witness when it ends up being the binding one.
+    as an "external" witness when it ends up being the binding one.  A
+    proper coloring with fewer colors (supplied, greedy or found by the
+    search) contradicts it and raises CertificateError.
     """
     if isinstance(g, KneserGraph):
         g = g.graph
@@ -143,6 +145,13 @@ def chromatic_number(
     ub = len(set(start))
     best_coloring = start
 
+    def check_known_lower():
+        if known_lower is not None and ub < known_lower:
+            raise CertificateError(
+                f"a proper coloring with {ub} colors contradicts the lower bound"
+                f" {known_lower} ({known_lower_label})"
+            )
+
     def witness(chi: int, exhausted: bool) -> tuple[str, object]:
         if chi == len(clique):
             return ("clique", clique)
@@ -150,6 +159,7 @@ def chromatic_number(
             return ("external", known_lower_label)
         return ("exhausted", None) if exhausted else ("external", known_lower_label)
 
+    check_known_lower()
     if ub <= lb:
         return ChromaticCertificate(
             ub, _canonicalize(best_coloring), witness(ub, False), True, (ub, ub), 0
@@ -206,6 +216,7 @@ def chromatic_number(
         descend(0, 0)
     except _Budget:
         exhausted = False
+    check_known_lower()
 
     if exhausted or ub <= lb:
         chi = ub

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError
 from .graphs import make_complete_bipartite
+from .matching import _augmenting_matcher
 from .orderings import LocallyEulerianCertificate, VerificationResult, verify_locally_eulerian
 
 Block = tuple[tuple[int, int], ...]   # 4 (left, right) pairs of one 4-cycle
@@ -157,7 +158,7 @@ def monogamous_c4_decomposition(
         dec = C4Decomposition(m, n, tuple(make_block(a, b, x, y) for a, b, x, y in chosen))
         check = verify_c4_decomposition(dec)
         if not check.ok:
-            raise AssertionError(f"constructed decomposition failed audit: {check.violation}")
+            raise CertificateError(f"constructed decomposition failed audit: {check.violation}")
         return C4SearchResult("found", dec, nodes)
     if exceeded:
         return C4SearchResult("indeterminate", None, nodes)
@@ -191,7 +192,7 @@ def locally_eulerian_from_c4(
     Rounds both sides up to even sizes T, T', takes a monogamous C4
     decomposition of K_{T,T'} (searched for, or supplied), keeps the blocks
     lying entirely inside K_{t,t'}, and assigns floor((t-3)/8) blocks to
-    each vertex through a saturating matching found by augmenting paths.
+    each vertex through a slot-saturating maximum matching.
     Each vertex's subgraph is the union of its assigned blocks: root degree
     2*floor((t-3)/8), every other degree 2.  The ceiling variant of the
     copy count is reported next to the floor whenever the two differ.
@@ -249,12 +250,16 @@ def locally_eulerian_from_c4(
     for block in inside:
         verts = sorted({l for l, _ in block}) + sorted({t + rr for _, rr in block})
         block_vertices.append(verts)
-    slot_adj = [
-        [bi for bi, verts in enumerate(block_vertices) if slots[si] in verts]
-        for si in range(len(slots))
-    ]
-    assignment = _saturating_assignment(slot_adj, len(inside))
-    if assignment is None:
+    # Slot si is matcher vertex si, block bi is matcher vertex len(slots) + bi.
+    n_slots = len(slots)
+    adj: list[list[int]] = [[] for _ in range(n_slots + len(inside))]
+    for si, v in enumerate(slots):
+        for bi, verts in enumerate(block_vertices):
+            if v in verts:
+                adj[si].append(n_slots + bi)
+                adj[n_slots + bi].append(si)
+    match, size = _augmenting_matcher(len(adj), adj)
+    if size != n_slots:
         return LocallyEulerianBuild(
             "infeasible", None,
             "Hall condition fails: the inside blocks cannot saturate every vertex slot",
@@ -262,9 +267,8 @@ def locally_eulerian_from_c4(
         )
 
     subgraph_edges: list[set[int]] = [set() for _ in range(t + t_prime)]
-    for si, bi in enumerate(assignment):
-        v = slots[si]
-        for l, rr in inside[bi]:
+    for si, v in enumerate(slots):
+        for l, rr in inside[match[si] - n_slots]:
             subgraph_edges[v].add(l * t_prime + rr)
     cert = LocallyEulerianCertificate(
         host,
@@ -283,24 +287,3 @@ def locally_eulerian_from_c4(
         )
     return LocallyEulerianBuild("ok", cert, "certificate verified", copies, copies_ceil, len(inside))
 
-
-def _saturating_assignment(left_adj: list[list[int]], n_right: int) -> list[int] | None:
-    """Left-saturating bipartite matching by augmenting paths (or None)."""
-    match_right = [-1] * n_right
-    match_left = [-1] * len(left_adj)
-
-    def augment(u: int, seen: list[bool]) -> bool:
-        for b in left_adj[u]:
-            if seen[b]:
-                continue
-            seen[b] = True
-            if match_right[b] == -1 or augment(match_right[b], seen):
-                match_right[b] = u
-                match_left[u] = b
-                return True
-        return False
-
-    for u in range(len(left_adj)):
-        if not augment(u, [False] * n_right):
-            return None
-    return match_left

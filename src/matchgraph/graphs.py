@@ -466,8 +466,8 @@ def eulerian_tour(
 
 # ---------------------------------------------------------------------------
 # Text format:  line 1 "n m", then m lines "u v" (0 <= u < v < n), ASCII
-# decimal, single spaces, '\n' terminators; lines starting '#' ignored.
-# Edge index = position among non-comment edge lines.
+# decimal, single spaces, '\n' terminators; lines starting '#' and blank
+# lines ignored.  Edge index = position among the edge lines.
 # ---------------------------------------------------------------------------
 
 def format_graph(g: Graph) -> str:
@@ -480,7 +480,7 @@ def parse_graph(text: str) -> Graph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
+        if raw.startswith("#") or not raw.strip():
             continue
         parts = raw.split(" ")
         if len(parts) != 2:

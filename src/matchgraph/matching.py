@@ -7,8 +7,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapacityError
-from .graphs import Graph
+from .errors import CertificateError
+from .graphs import Graph, odd_components
 
 
 @dataclass(frozen=True)
@@ -188,55 +188,34 @@ def edge_subset_has_r_matching(g: Graph, edge_ids: Iterable[int], r: int) -> boo
 
 
 # ---------------------------------------------------------------------------
-# Tutte-Berge certificates (exhaustive minimization at desk scale).
+# Tutte-Berge certificates (Gallai-Edmonds decomposition).
 # ---------------------------------------------------------------------------
 
-def tutte_berge(g: Graph, max_n: int = 20) -> TutteBergeWitness:
+def tutte_berge(g: Graph) -> TutteBergeWitness:
     """Witness S attaining min over all S of |V| - o(G-S) + |S|.
 
-    Exhausts all 2^n subsets, so the certificate is unconditional; graphs
-    larger than ``max_n`` raise CapacityError.  Among minimizers the one
-    with the numerically smallest bitmask is returned.  The value is
-    cross-checked against the augmenting-path matching number.
+    S is the Gallai-Edmonds set N(D) minus D, where D is the set of vertices
+    missed by some maximum matching, i.e. those v with nu(G - v) = nu(G).
+    The set is unique, so the witness is canonical.  The Tutte-Berge
+    equality |V| - o(G-S) + |S| = 2 nu is checked explicitly: together with
+    the matching it certifies the matching number.
     """
     n = g.n
-    if n > max_n:
-        raise CapacityError(f"tutte_berge is exhaustive; n={n} exceeds bound {max_n}")
-    masks = g.adj_masks
-    full = (1 << n) - 1
-    best_val = None
-    best_s = 0
-    for s_mask in range(1 << n):
-        alive0 = full & ~s_mask
-        odd = 0
-        alive = alive0
-        while alive:
-            seed = alive & -alive
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    bit = f & -f
-                    f ^= bit
-                    nxt |= masks[bit.bit_length() - 1]
-                frontier = nxt & alive0 & ~comp
-                comp |= frontier
-            if comp.bit_count() & 1:
-                odd += 1
-            alive &= ~comp
-        val = n - odd + s_mask.bit_count()
-        if best_val is None or val < best_val:
-            best_val = val
-            best_s = s_mask
-    nu = best_val // 2
-    if nu != matching_number(g):
-        raise AssertionError(
-            "Tutte-Berge minimum disagrees with augmenting-path matching number"
+    adj = tuple(tuple(w for w, _ in a) for a in g.adjacency)
+    _, nu = _augmenting_matcher(n, adj)
+    missable = neighbours = 0  # D and the neighbours of D, as bitmasks
+    for v in range(n):
+        without_v = [() if u == v else [w for w in a if w != v] for u, a in enumerate(adj)]
+        if _augmenting_matcher(n, without_v, stop_at=nu)[1] == nu:
+            missable |= 1 << v
+            neighbours |= g.adj_masks[v]
+    s = frozenset(v for v in range(n) if (neighbours & ~missable) >> v & 1)
+    o = odd_components(g, s)
+    if n - o + len(s) != 2 * nu:
+        raise CertificateError(
+            f"Tutte-Berge equality fails: |V| - o(G-S) + |S| = {n - o + len(s)},"
+            f" but the matcher found nu = {nu}"
         )
-    s = frozenset(v for v in range(n) if best_s >> v & 1)
-    o = n + len(s) - 2 * nu
     return TutteBergeWitness(s=s, deficiency=o - len(s), nu=nu)
 
 

@@ -22,6 +22,7 @@ from .graphs import (
     DegreeOrder,
     Graph,
     MultiGraphView,
+    component_masks,
     degree_order,
     eulerian_tour,
     is_connected,
@@ -189,7 +190,8 @@ def verify_locally_eulerian(cert: LocallyEulerianCertificate) -> VerificationRes
         odd = [v for v, d in deg.items() if d % 2 == 1]
         if odd:
             return fail(f"subgraph {i}: vertex {odd[0]} has odd degree")
-        if not _edges_connected(host, sub):
+        pieces = component_masks(Graph(n, tuple(host.edges[e] for e in sub)))
+        if sum(1 for c in pieces if c.bit_count() > 1) != 1:
             return fail(f"subgraph {i} is not connected")
         need = cert.r - 1
         for v, d in deg.items():
@@ -199,28 +201,6 @@ def verify_locally_eulerian(cert: LocallyEulerianCertificate) -> VerificationRes
                     f"(r-1)*{d}+{cert.c} at vertex {v}"
                 )
     return VerificationResult(True)
-
-
-def _edges_connected(host: Graph, edge_ids) -> bool:
-    ids = list(edge_ids)
-    if not ids:
-        return True
-    vertices = {v for e in ids for v in host.edges[e]}
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for e in ids:
-        u, v = host.edges[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(vertices))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == vertices
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +246,24 @@ def apex_ordering(g: Graph, host: Graph, cert: LocallyEulerianCertificate) -> Ed
     covered = reduce(lambda acc, s: acc | frozenset(s), cert.subgraphs, frozenset())
     leftover = [e for e in range(host.m) if e not in covered]
     leftover_ids = leftover + list(range(z_offset, view.m))
-    comp_edges, comp_of_vertex = _edge_components(view, leftover_ids)
+    leftover_graph = Graph(view.n, tuple(view.edge_pair(e) for e in leftover_ids))
+    pending = [c for c in component_masks(leftover_graph) if c.bit_count() > 1]
 
     tour: list[int] = []
-    done_components: set[int] = set()
     for i in range(n):
         root = cert.roots[i]
         tour.append(host.m + 2 * i)
         tour.extend(eulerian_tour(view, root, edge_ids=cert.subgraphs[i]))
-        cid = comp_of_vertex.get(root)
-        if cid is not None and cid not in done_components:
-            done_components.add(cid)
-            tour.extend(eulerian_tour(view, root, edge_ids=comp_edges[cid]))
+        comp = next((c for c in pending if c >> root & 1), None)
+        if comp is not None:
+            pending.remove(comp)
+            comp_edges = [
+                e for e, (u, _) in zip(leftover_ids, leftover_graph.edges) if comp >> u & 1
+            ]
+            tour.extend(eulerian_tour(view, root, edge_ids=comp_edges))
         tour.append(host.m + 2 * i + 1)
     if sorted(tour) != list(range(view.m)):
-        raise AssertionError("staged walk is not an Eulerian tour of the auxiliary graph")
+        raise CertificateError("staged walk is not an Eulerian tour of the auxiliary graph")
 
     g_ids = []
     for eid in tour:
@@ -291,35 +274,3 @@ def apex_ordering(g: Graph, host: Graph, cert: LocallyEulerianCertificate) -> Ed
                 g_ids.append(idx)
     return EdgeOrdering(tuple(g_ids))
 
-
-def _edge_components(view: MultiGraphView, edge_ids: list[int]):
-    """Group edges into connected components; maps vertices to component ids."""
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for eid in edge_ids:
-        u, v = view.edge_pair(eid)
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-
-    comp_index: dict[int, int] = {}
-    comp_edges: list[list[int]] = []
-    comp_of_vertex: dict[int, int] = {}
-    for eid in edge_ids:
-        u, _ = view.edge_pair(eid)
-        root = find(u)
-        if root not in comp_index:
-            comp_index[root] = len(comp_edges)
-            comp_edges.append([])
-        comp_edges[comp_index[root]].append(eid)
-    for v in parent:
-        comp_of_vertex[v] = comp_index[find(v)]
-    return comp_edges, comp_of_vertex

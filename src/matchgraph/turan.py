@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import CertificateError
 from .graphs import Graph
 from .matching import edge_subset_has_r_matching
 
@@ -184,7 +185,10 @@ def _branch_bound(g: Graph, r: int, node_budget: int):
         if _completable(g, r, chosen + [e], chosen_mask | (1 << e), e + 1, need, disj):
             chosen.append(e)
             chosen_mask |= 1 << e
-    assert len(chosen) == value
+    if len(chosen) != value:
+        raise CertificateError(
+            f"lexicographic pass rebuilt {len(chosen)} edges, not the proven optimum {value}"
+        )
     return value, tuple(chosen), True
 
 

@@ -48,6 +48,38 @@ def brute_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
     return out
 
 
+def exhaustive_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
+    """min over all 2^n sets S of |V| - o(G-S) + |S|, and the minimizer
+    with the numerically smallest bitmask."""
+    n = g.n
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    best_val = None
+    best_s = 0
+    for s_mask in range(1 << n):
+        alive = full & ~s_mask
+        odd = 0
+        unseen = alive
+        while unseen:
+            comp = frontier = unseen & -unseen
+            while frontier:
+                reach = 0
+                for v in range(n):
+                    if frontier >> v & 1:
+                        reach |= adj[v]
+                frontier = reach & alive & ~comp
+                comp |= frontier
+            odd += comp.bit_count() & 1
+            unseen &= ~comp
+        val = n - odd + s_mask.bit_count()
+        if best_val is None or val < best_val:
+            best_val, best_s = val, s_mask
+    return best_val, frozenset(v for v in range(n) if best_s >> v & 1)
+
+
 def line_graph_independent_count(g: Graph, r: int) -> int:
     """Number of size-r independent sets in the line graph of g."""
     lg = nx.line_graph(to_networkx(g))

@@ -1,8 +1,10 @@
 import json
+import os
 
 import pytest
 
-from matchgraph import format_graph, make_complete_bipartite, make_disjoint_matching
+import matchgraph.cli
+from matchgraph import format_graph, make_complete_bipartite, make_cycle, make_disjoint_matching
 from matchgraph.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -24,6 +26,16 @@ def test_cmd_schrijver_values():
     report = cmd_schrijver(7, 3)
     assert report["results"]["chi"] == 3
     assert report["results"]["matching_graph_vertices"] == 7
+
+
+def test_family_reports_pinned():
+    # determinism hashes of the Schrijver and permutation reports as first published
+    assert cmd_schrijver(7, 2)["determinism_sha256"] == (
+        "5a9ee8f34d00d194cc19ca129bf6f81d00d51c2e49746f1b89fb938aab2753bb"
+    )
+    assert cmd_permutation(4, 3, 2)["determinism_sha256"] == (
+        "11a8523db314cc1d1482533057553f912dcf894384f6b774e7a83395fd59535e"
+    )
 
 
 def test_cmd_schrijver_precondition():
@@ -67,6 +79,35 @@ def test_cmd_scan_small():
         )
 
 
+def test_cmd_scan_pool_bounded_by_cpu_count(monkeypatch):
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(matchgraph.cli, "Pool", RecordingPool)
+    report = cmd_scan(3, 2, jobs=10_000)
+    assert requested == [min(10_000, os.cpu_count() or 1)]
+    assert report["results"]["graphs_scanned"] == 4
+
+
+def test_cmd_scan_rejects_nonpositive_jobs(capsys):
+    with pytest.raises(ValueError):
+        cmd_scan(3, 2, jobs=0)
+    assert main(["scan", "--max-n", "3", "--jobs", "0"]) == EXIT_USAGE
+    assert "jobs" in capsys.readouterr().err
+
+
 def test_cmd_scan_writes_jsonl(tmp_path):
     out = tmp_path / "records.jsonl"
     report = cmd_scan(3, 2, out_path=str(out))
@@ -93,6 +134,25 @@ def test_cmd_analyze_full_pipeline(tmp_path):
     assert res["audits"]["conjecture_equality"]
     assert res["audits"]["sandwich_ex_le_ex_alt_le_2ex"]
     assert report["exactness"]["chi"] == "certified"
+
+
+def test_cmd_analyze_certifies_nu_above_20_vertices(tmp_path):
+    path = tmp_path / "c25.txt"
+    path.write_text(format_graph(make_cycle(25)), encoding="ascii")
+    report = cmd_analyze(str(path), 2)
+    assert report["results"]["nu"] == 12
+    assert report["results"]["tutte_berge"] == {"s": [], "deficiency": 1}
+    assert report["exactness"]["nu"] == "certified"
+
+
+def test_main_capacity_error_exits_cleanly(tmp_path, capsys):
+    # C_31 has 31 edges, one above the alternation engine's edge cap
+    path = tmp_path / "c31.txt"
+    path.write_text(format_graph(make_cycle(31)), encoding="ascii")
+    assert main(["analyze", str(path), "--r", "2"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "cap" in captured.err
 
 
 def test_cmd_analyze_identity_ordering(tmp_path):

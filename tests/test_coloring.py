@@ -31,6 +31,17 @@ def test_chromatic_examples():
     assert chromatic_number(Graph(3, ())).chi == 1
 
 
+def test_contradicted_known_lower_is_rejected():
+    c5 = make_cycle(5)
+    with pytest.raises(CertificateError):  # greedy 3-coloring
+        chromatic_number(c5, known_lower=4)
+    with pytest.raises(CertificateError):  # supplied 3-coloring
+        chromatic_number(c5, known_lower=4, initial_coloring=(0, 1, 0, 1, 2))
+    with pytest.raises(CertificateError):  # 5-coloring supplied, search finds 3
+        chromatic_number(c5, known_lower=4, initial_coloring=tuple(range(5)))
+    assert chromatic_number(c5, known_lower=3).chi == 3
+
+
 def test_certificate_contents():
     cert = chromatic_number(make_complete(4))
     assert cert.chi == 4 and cert.exact

@@ -214,6 +214,12 @@ def test_text_format_round_trip():
     assert parse_graph(text) == g
 
 
+def test_text_format_skips_blank_lines():
+    g = parse_graph("3 2\n0 1\n\n1 2\n  \n")
+    assert g == Graph(3, ((0, 1), (1, 2)))
+    assert g.edge_index[(1, 2)] == 1
+
+
 def test_text_format_comments_and_errors():
     assert parse_graph("# comment\n2 1\n0 1\n") == Graph(2, ((0, 1),))
     with pytest.raises(GraphParseError) as exc:

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from matchgraph import (
-    CapacityError,
     Graph,
     Matching,
     edge_subset_has_r_matching,
@@ -15,12 +14,14 @@ from matchgraph import (
     make_disjoint_matching,
     matching_number,
     max_matching,
+    odd_components,
     tutte_berge,
 )
 
 from tests.oracles import (
     brute_has_r_matching,
     brute_matchings,
+    exhaustive_tutte_berge,
     line_graph_independent_count,
     nx_matching_size,
     random_graph,
@@ -69,18 +70,25 @@ def test_tutte_berge_equality_random():
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         w = tutte_berge(g)
         assert w.nu == matching_number(g)
+        assert 2 * w.nu == exhaustive_tutte_berge(g)[0]
         # the witness value really is what the formula says
-        from matchgraph import odd_components
-
         o = odd_components(g, w.s)
-        assert (g.n - o + len(w.s)) // 2 == w.nu
+        assert g.n - o + len(w.s) == 2 * w.nu
         assert w.deficiency == o - len(w.s)
 
 
-def test_tutte_berge_capacity():
-    with pytest.raises(CapacityError):
-        tutte_berge(make_cycle(25))
-    assert tutte_berge(make_cycle(21), max_n=21).nu == 10
+def test_tutte_berge_beyond_exhaustive_range():
+    # n > 20, where minimizing over all 2^n sets is out of reach
+    for g, s in [
+        (make_cycle(25), frozenset()),
+        (make_cycle(31), frozenset()),
+        (make_complete_bipartite(11, 11), frozenset()),
+        (make_complete_bipartite(13, 11), frozenset(range(13, 24))),
+    ]:
+        w = tutte_berge(g)
+        assert w.nu == matching_number(g)
+        assert w.s == s
+        assert g.n - odd_components(g, w.s) + len(w.s) == 2 * w.nu
 
 
 def test_enumerate_matchings_examples():
