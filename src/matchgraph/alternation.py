@@ -7,7 +7,10 @@ and minus supports both avoid containing a hyperedge; salt_sigma allows
 one support to contain hyperedges.  On the matching hypergraph of a graph
 these equal the alternating Turan numbers ex_alt / ex_salt, computed here
 directly on the graph side as well, which gives two independent engines
-for the same quantities.
+for the same quantities.  The graph side needs no search: each color class
+lies inside an inclusion-maximal rK2-free edge set (the Tutte-Berge
+structures of ``turan.maximal_free_masks``), and for a fixed pair of sets
+the earliest-first greedy finds the longest alternation along sigma.
 
 Both quantities yield chromatic lower bounds for general Kneser graphs:
     chi(KG(H)) >= |ground| - alt_sigma(H)
@@ -17,6 +20,7 @@ Both quantities yield chromatic lower bounds for general Kneser graphs:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
@@ -24,6 +28,7 @@ from .errors import CapacityError
 from .graphs import Graph
 from .hypergraphs import Hypergraph
 from .matching import edge_subset_has_r_matching
+from .turan import NODE_BUDGET, maximal_free_masks
 
 
 @dataclass(frozen=True)
@@ -203,95 +208,91 @@ def salt_min(h: Hypergraph, cap: int = 8, heuristic: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# Graph-side engine: alternating colorings along an edge ordering.
+# Graph-side engine: greedy alternation over pairs of maximal rK2-free sets.
 # ---------------------------------------------------------------------------
 
-class _ClassState:
-    """One color class of a growing alternating coloring.
+def _alternation(first: int, second: int) -> int:
+    """Longest subsequence of positions alternating first, second, first, ...
 
-    Tracks whether the class contains an r-matching; r = 2 runs on
-    precomputed disjointness bitmasks, larger r re-solves the small class.
+    Taking the earliest available position at every step is optimal.
     """
-
-    __slots__ = ("g", "r", "ids", "mask", "dead", "_trail")
-
-    def __init__(self, g: Graph, r: int):
-        self.g = g
-        self.r = r
-        self.ids: list[int] = []
-        self.mask = 0
-        self.dead = False
-        self._trail: list[bool] = []
-
-    def would_die(self, e: int) -> bool:
-        if self.dead:
-            return True
-        if self.r == 2:
-            return bool(self.g.edge_disjoint_masks[e] & self.mask)
-        return edge_subset_has_r_matching(self.g, self.ids + [e], self.r)
-
-    def push(self, e: int):
-        self._trail.append(self.dead)
-        if not self.dead and self.would_die(e):
-            self.dead = True
-        self.ids.append(e)
-        self.mask |= 1 << e
-
-    def pop(self):
-        e = self.ids.pop()
-        self.mask &= ~(1 << e)
-        self.dead = self._trail.pop()
+    length = 0
+    above = -1  # positions after the last one taken
+    while True:
+        avail = (second if length & 1 else first) & above
+        if not avail:
+            return length
+        above = -((avail & -avail) << 1)
+        length += 1
 
 
-def _alternating_search(g: Graph, r: int, sigma: EdgeOrdering, strong: bool,
-                        cap: int) -> int:
-    """Max size of an edge subset whose alternating 2-coloring along sigma
-    keeps both (strong=False) or at least one (strong=True) class free of
-    r-matchings.
+@lru_cache(maxsize=8)
+def _alternation_table(g: Graph, r: int, sigma: EdgeOrdering,
+                       node_budget: int) -> tuple[tuple[int, int, int], ...]:
+    """Per inclusion-maximal rK2-free edge set: its bitmask over sigma
+    positions, its alternation against all edges when it starts, and when
+    it comes second.
 
-    Feasible sizes are downward closed (dropping the last colored edge keeps
-    the classes' prefixes intact), so the maximum found by this search is
-    the alternating Turan value.
+    Alternation only grows with the sets, so the last two numbers bound
+    every pair the set takes part in.  Raises CapacityError when the
+    structure enumeration is truncated: a value from a partial enumeration
+    could be too small, and a too-small ex_alt would make |E| - ex_alt an
+    unsound lower bound.  Cached, so that ex_alt and ex_salt along the
+    same ordering share one table.
     """
     if len(sigma) != g.m:
         raise ValueError("ordering length does not match edge count")
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if g.m > cap:
-        raise CapacityError(f"edge count {g.m} exceeds search cap {cap}")
-    m = g.m
-    order = sigma.perm
-    classes = (_ClassState(g, r), _ClassState(g, r))
-    best = 0
+    masks, complete = maximal_free_masks(g, r, node_budget)
+    if not complete:
+        raise CapacityError(
+            f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
+        )
+    position = [0] * g.m
+    for p, e in enumerate(sigma.perm):
+        position[e] = 1 << p
+    everything = (1 << g.m) - 1
+    table = []
+    for mask in masks:
+        moved = 0
+        while mask:
+            low = mask & -mask
+            moved |= position[low.bit_length() - 1]
+            mask ^= low
+        table.append((moved, _alternation(moved, everything), _alternation(everything, moved)))
+    return tuple(table)
 
-    def descend(pos: int, colored: int):
-        nonlocal best
-        if colored > best:
-            best = colored
-        if pos == m or colored + (m - pos) <= best:
-            return
-        e = order[pos]
-        cls = classes[colored & 1]
-        other = classes[1 - (colored & 1)]
-        dies = cls.would_die(e)
-        if not dies or (strong and not other.dead):
-            cls.push(e)
-            descend(pos + 1, colored + 1)
-            cls.pop()
-        descend(pos + 1, colored)
 
-    descend(0, 0)
+def ex_alt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
+                 node_budget: int = NODE_BUDGET) -> int:
+    """Alternating Turan number of rK2 along sigma: both classes rK2-free.
+
+    Each class lies inside a maximal rK2-free set, so the value is the best
+    greedy alternation over ordered pairs (A, B) of maximal sets.
+    """
+    table = _alternation_table(g, r, sigma, node_budget)
+    firsts = sorted(table, key=lambda row: -row[1])
+    seconds = sorted(table, key=lambda row: -row[2])
+    best = max(a.bit_count() for a, _, _ in table)  # (A, A) alternates all of A
+    for a, bound_a, _ in firsts:
+        if bound_a <= best:
+            break
+        for b, _, bound_b in seconds:
+            if bound_b <= best or bound_a <= best:
+                break
+            if (a | b).bit_count() > best:
+                best = max(best, _alternation(a, b))
     return best
 
 
-def ex_alt_sigma(g: Graph, r: int, sigma: EdgeOrdering, cap: int = 30) -> int:
-    """Alternating Turan number of rK2 along sigma: both classes rK2-free."""
-    return _alternating_search(g, r, sigma, strong=False, cap=cap)
+def ex_salt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
+                  node_budget: int = NODE_BUDGET) -> int:
+    """Strong variant: at least one class must be rK2-free.
 
-
-def ex_salt_sigma(g: Graph, r: int, sigma: EdgeOrdering, cap: int = 30) -> int:
-    """Strong variant: at least one class must be rK2-free."""
-    return _alternating_search(g, r, sigma, strong=True, cap=cap)
+    The other class is unrestricted, so the value is the best greedy
+    alternation of a maximal set against the whole edge set, in either order.
+    """
+    table = _alternation_table(g, r, sigma, node_budget)
+    return max(max(first, second) for _, first, second in table)
 
 
 # ---------------------------------------------------------------------------

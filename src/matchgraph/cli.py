@@ -67,11 +67,12 @@ def _graph_sha(g: Graph) -> str:
 
 def _finish_report(report: dict, started: float) -> dict:
     body = {k: v for k, v in report.items() if k != "timing"}
+    # default= converts sets as they come, so the report is not copied first
     digest = hashlib.sha256(
-        json.dumps(_jsonable(body), sort_keys=True).encode("utf-8")
+        json.dumps(body, sort_keys=True, default=_jsonable).encode("utf-8")
     ).hexdigest()
     report["determinism_sha256"] = digest
-    report["timing"] = {"seconds": round(time.time() - started, 6)}
+    report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     return report
 
 
@@ -235,7 +236,7 @@ def _family_report(
 
 def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
     """chi(KG(C_n, rK2)) versus the closed formula n - 2r + 2."""
-    started = time.time()
+    started = time.perf_counter()
     if n < 2 * r + 1:
         raise ValueError(f"need n >= 2r+1, got n={n}, r={r}")
     return _family_report(
@@ -246,7 +247,7 @@ def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
 
 def cmd_permutation(m: int, n: int, r: int, node_budget: int = 10_000_000) -> dict:
     """chi(KG(K_{m,n}, rK2)) versus the closed formula m(n - r + 1)."""
-    started = time.time()
+    started = time.perf_counter()
     if not (m >= n >= r >= 1):
         raise ValueError(f"need m >= n >= r >= 1, got ({m},{n},{r})")
     g = make_complete_bipartite(m, n)
@@ -268,7 +269,7 @@ def cmd_analyze(
     node_budget: int = 10_000_000,
 ) -> dict:
     """One-stop report for a graph file: matchings, Turan, chi, alternation."""
-    started = time.time()
+    started = time.perf_counter()
     g = read_graph(path)
     results: dict = {"n": g.n, "m": g.m}
     exactness: dict = {}
@@ -362,12 +363,14 @@ def _scan_one(task) -> dict:
     ex_cert = turan_matchings(g, r)
     orderings = {"euler": euler_ordering(g), "identity": EdgeOrdering.identity(g.m)}
     kg, cert, lb, bounds = _chi_for_matching_graph(g, r, ex_cert, orderings, node_budget)
+    # The graph's own edge pairs and one shared extremal list keep the report small.
+    extremal = sorted(ex_cert.extremal_edges)
     record = {
         "n": n,
-        "edges": [list(e) for e in edges],
+        "edges": g.edges,
         "r": r,
         "ex": ex_cert.ex_value,
-        "extremal_edges": sorted(ex_cert.extremal_edges),
+        "extremal_edges": extremal,
         "matching_graph_vertices": kg.graph.n,
         "alternation_chi_lower": lb,
         "certified": bool(cert.exact and ex_cert.exact),
@@ -378,7 +381,7 @@ def _scan_one(task) -> dict:
         kind, payload = cert.lower_witness
         record["certificates"] = {
             "coloring": list(cert.coloring),
-            "extremal_edges": sorted(ex_cert.extremal_edges),
+            "extremal_edges": extremal,
             "lower_witness": {"kind": kind, "value": _jsonable(payload)},
         }
     else:
@@ -387,7 +390,7 @@ def _scan_one(task) -> dict:
         record["equality"] = None
         record["certificates"] = {
             "coloring": list(cert.coloring),
-            "extremal_edges": sorted(ex_cert.extremal_edges),
+            "extremal_edges": extremal,
             "lower_witness": {"kind": "interval", "value": list(cert.bounds)},
         }
     return record
@@ -402,7 +405,7 @@ def cmd_scan(
 ) -> dict:
     """Scan all connected graphs on up to max_n vertices: does
     chi(KG(G, rK2)) equal |E(G)| - ex(G, rK2) on every one of them?"""
-    started = time.time()
+    started = time.perf_counter()
     if max_n > 7:
         raise ValueError("scan is limited to max_n <= 7")
     if jobs < 1:

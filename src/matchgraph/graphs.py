@@ -29,7 +29,11 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        # Pairs that are already int tuples are kept, not copied.
+        object.__setattr__(self, "edges", tuple(
+            e if type(e) is tuple and all(type(x) is int for x in e) else tuple(map(int, e))
+            for e in self.edges
+        ))
         seen = set()
         for u, v in self.edges:
             if u == v:
@@ -73,19 +77,6 @@ class Graph:
     @cached_property
     def edge_vertex_masks(self) -> tuple[int, ...]:
         return tuple((1 << u) | (1 << v) for u, v in self.edges)
-
-    @cached_property
-    def edge_disjoint_masks(self) -> tuple[int, ...]:
-        """For each edge, the bitmask of vertex-disjoint edge indices."""
-        vm = self.edge_vertex_masks
-        out = []
-        for i in range(self.m):
-            mask = 0
-            for j in range(self.m):
-                if i != j and not (vm[i] & vm[j]):
-                    mask |= 1 << j
-            out.append(mask)
-        return tuple(out)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

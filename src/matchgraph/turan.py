@@ -1,26 +1,33 @@
 """Generalized Turan numbers ex(G, rK2) with extremal certificates.
 
 ex(G, rK2) is the maximum number of edges of a spanning subgraph whose
-matching number is below r.  Exact values are produced either by full
-subset enumeration (small edge counts) or by branch and bound with an
-incremental matching-number prune; both certify the optimum.
+matching number is below r.  By the Tutte-Berge formula (Berge 1958;
+Erdos-Gallai 1959) every inclusion-maximal such edge set is a *structure*:
+all edges meeting a vertex set S plus all edges inside disjoint odd vertex
+sets C_1, C_2, ... (of size at least 3, each inducing a connected subgraph,
+avoiding S), with |S| + sum floor(|C_i| / 2) <= r - 1.  For fixed r there
+are polynomially many structures; enumerating them settles ex, and the
+same maximal sets drive the graph-side alternation engines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import CertificateError
 from .graphs import Graph
 from .matching import edge_subset_has_r_matching
 
+NODE_BUDGET = 5_000_000
+
 
 @dataclass(frozen=True)
 class TuranCertificate:
     ex_value: int
     extremal_edges: frozenset[int]
-    method: str        # "exhaustive" | "branch-bound" | "star-construction"
+    method: str        # "structure"
     exact: bool = True
     bounds: tuple[int, int] | None = None
 
@@ -61,148 +68,145 @@ def star_lower_bound(g: Graph, r: int) -> tuple[int, frozenset[int]]:
     return max(best_val, 0), best_edges
 
 
-def turan_matchings(
-    g: Graph,
-    r: int,
-    exhaustive_limit: int = 16,
-    node_budget: int = 5_000_000,
-) -> TuranCertificate:
-    """Exact ex(G, rK2) with an extremal witness.
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
-    Graphs with at most ``exhaustive_limit`` edges are settled by full
-    enumeration; otherwise branch and bound runs under ``node_budget``.
-    Non-convergence yields an inexact interval certificate instead of a
-    wrong exact claim.  Ties among extremal sets break lexicographically
-    on the edge-index set.
+
+def _incident_masks(g: Graph) -> list[int]:
+    """Per vertex, the bitmask of the edge indices that meet it."""
+    inc = [0] * g.n
+    for i, (u, v) in enumerate(g.edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    return inc
+
+
+def _odd_parts(g: Graph, inc: list[int], max_cost: int,
+               budget: int) -> tuple[list[tuple[int, int, int]], int]:
+    """(cost, vertex mask, inside-edge mask) of every odd vertex set of size
+    3 .. 2 max_cost + 1 that induces a connected subgraph, cheapest first,
+    and the number of connected sets grown.
+
+    A set whose edges all meet one of its vertices w is left out: putting w
+    into S instead costs no more and covers a superset of edges, so such a
+    part never yields a maximal set that another structure does not.
+
+    Each connected set is grown once from its smallest vertex (Wernicke's
+    ESU scheme): a vertex joins the extension set only when it is adjacent
+    to the newest vertex and to nothing already chosen.  Growth stops once
+    more than ``budget`` sets have been grown.
+    """
+    adj = g.adj_masks
+    limit = 2 * max_cost + 1
+    parts: list[tuple[int, int, int]] = []
+    nodes = 0
+
+    def grow(sub: int, size: int, ext: int, closed: int, above: int,
+             meet: int, inside: int):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return
+        if size & 1 and size >= 3 and all(inside & ~inc[v] for v in _bits(sub)):
+            parts.append((size // 2, sub, inside))
+        if size == limit:
+            return
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            w = bit.bit_length() - 1
+            grow(sub | bit, size + 1, ext | (adj[w] & ~closed & above),
+                 closed | adj[w], above, meet | inc[w], inside | (inc[w] & meet))
+
+    for v in range(g.n):
+        bit = 1 << v
+        above = -(bit << 1)  # vertices with a larger index
+        grow(bit, 1, adj[v] & above, adj[v] | bit, above, inc[v], 0)
+    parts.sort(key=lambda part: part[0])
+    return parts, nodes
+
+
+def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, int]]):
+    """Edge masks of every structure of (g, r), one per (S, parts) choice."""
+
+    def add_parts(start: int, used: int, budget: int, mask: int):
+        yield mask
+        for i in range(start, len(parts)):
+            cost, vertices, inside = parts[i]
+            if cost > budget:
+                return
+            if not vertices & used:
+                yield from add_parts(i + 1, used | vertices, budget - cost, mask | inside)
+
+    for size in range(min(r - 1, g.n) + 1):
+        for s in combinations(range(g.n), size):
+            used = mask = 0
+            for v in s:
+                used |= 1 << v
+                mask |= inc[v]
+            yield from add_parts(0, used, r - 1 - size, mask)
+
+
+@lru_cache(maxsize=32)
+def maximal_free_masks(g: Graph, r: int,
+                       node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], bool]:
+    """The inclusion-maximal rK2-free edge sets of g, as edge-index bitmasks.
+
+    Returns (masks, complete).  Masks come largest first, ties by value.
+    Each connected part grown and each structure enumerated counts one node
+    against ``node_budget``; when the budget runs out, ``complete`` is False
+    and the masks are the maximal ones among the structures seen so far
+    (each still rK2-free).  Results are cached per (g, r, node_budget), so
+    ex and both alternation engines share one enumeration.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    m = g.m
-    if not edge_subset_has_r_matching(g, range(m), r):
+    if not edge_subset_has_r_matching(g, range(g.m), r):
         # The whole edge set is already rK2-free.
-        method = "exhaustive" if m <= exhaustive_limit else "branch-bound"
-        return TuranCertificate(m, frozenset(range(m)), method)
-    if m <= exhaustive_limit:
-        value, edges = _exhaustive(g, r)
-        return TuranCertificate(value, frozenset(edges), "exhaustive")
-    value, edges, converged = _branch_bound(g, r, node_budget)
-    if converged:
-        return TuranCertificate(value, frozenset(edges), "branch-bound")
-    star_val, star_edges = star_lower_bound(g, r)
-    if star_val > value:
-        value, edges = star_val, star_edges
-    return TuranCertificate(
-        value, frozenset(edges), "branch-bound", exact=False, bounds=(value, m)
-    )
-
-
-def _free_mask(g: Graph, r: int, mask: int) -> bool:
-    if r == 2:
-        disj = g.edge_disjoint_masks
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            mm ^= bit
-            if disj[bit.bit_length() - 1] & mask:
-                return False
-        return True
-    ids = [i for i in range(g.m) if mask >> i & 1]
-    return not edge_subset_has_r_matching(g, ids, r)
-
-
-def _exhaustive(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
-    m = g.m
-    best_size = -1
-    best: tuple[int, ...] = ()
-    for mask in range(1 << m):
-        size = mask.bit_count()
-        if size < best_size:
-            continue
-        if not _free_mask(g, r, mask):
-            continue
-        ids = tuple(i for i in range(m) if mask >> i & 1)
-        if size > best_size or (size == best_size and ids < best):
-            best_size = size
-            best = ids
-    return best_size, best
-
-
-def _branch_bound(g: Graph, r: int, node_budget: int):
-    """Maximize |F| with F rK2-free; returns (value, lex-min witness, converged)."""
-    m = g.m
-    order = sorted(
-        range(m),
-        key=lambda e: (-(g.degrees[g.edges[e][0]] + g.degrees[g.edges[e][1]]), e),
-    )
-    disj = g.edge_disjoint_masks if r == 2 else None
-    nodes = 0
-    exceeded = False
-
-    def feasible_add(mask: int, ids: list[int], e: int) -> bool:
-        if disj is not None:
-            return not disj[e] & mask
-        return not edge_subset_has_r_matching(g, ids + [e], r)
-
-    best_size = 0
-    best_ids: list[int] = []
-
-    def search(pos: int, mask: int, ids: list[int]):
-        nonlocal nodes, best_size, best_ids, exceeded
-        if exceeded:
-            return
+        return ((1 << g.m) - 1,), True
+    inc = _incident_masks(g)
+    parts, nodes = _odd_parts(g, inc, r - 1, node_budget)
+    seen = {0}  # the empty set is rK2-free, so a truncated run still has a mask
+    complete = True
+    for mask in _structures(g, r, inc, parts):
         nodes += 1
         if nodes > node_budget:
-            exceeded = True
-            return
-        if len(ids) > best_size:
-            best_size = len(ids)
-            best_ids = list(ids)
-        if pos == m or len(ids) + (m - pos) <= best_size:
-            return
-        e = order[pos]
-        if feasible_add(mask, ids, e):
-            ids.append(e)
-            search(pos + 1, mask | (1 << e), ids)
-            ids.pop()
-        search(pos + 1, mask, ids)
-
-    search(0, 0, [])
-    if exceeded:
-        return best_size, tuple(sorted(best_ids)), False
-
-    # Second pass: lexicographically smallest extremal set of the proven size.
-    value = best_size
-    chosen: list[int] = []
-    chosen_mask = 0
-    for e in range(m):
-        if len(chosen) == value:
+            complete = False
             break
-        if not feasible_add(chosen_mask, chosen, e):
-            continue
-        need = value - len(chosen) - 1
-        if need > m - e - 1:
-            continue
-        if _completable(g, r, chosen + [e], chosen_mask | (1 << e), e + 1, need, disj):
-            chosen.append(e)
-            chosen_mask |= 1 << e
-    if len(chosen) != value:
-        raise CertificateError(
-            f"lexicographic pass rebuilt {len(chosen)} edges, not the proven optimum {value}"
-        )
-    return value, tuple(chosen), True
+        seen.add(mask)
+    kept: list[int] = []
+    for mask in sorted(seen, key=lambda mk: (-mk.bit_count(), mk)):
+        # Every kept mask is at least as large, so only they can contain it.
+        if all(mask & ~k for k in kept):
+            kept.append(mask)
+    return tuple(kept), complete
 
 
-def _completable(g, r, ids, mask, start, need, disj) -> bool:
-    """Can `ids` be extended with `need` edges from index >= start, staying free?"""
-    if need == 0:
-        return True
-    if g.m - start < need:
-        return False
-    for e in range(start, g.m - need + 1):
-        if disj is not None:
-            ok = not disj[e] & mask
-        else:
-            ok = not edge_subset_has_r_matching(g, ids + [e], r)
-        if ok and _completable(g, r, ids + [e], mask | (1 << e), e + 1, need - 1, disj):
-            return True
-    return False
+def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCertificate:
+    """Exact ex(G, rK2) with an extremal witness.
+
+    ex is the size of the largest structure; every extremal set is a
+    structure, so the witness is the lexicographically smallest edge-index
+    tuple among all extremal sets.  When the structure enumeration exceeds
+    ``node_budget`` the result is an inexact interval certificate: the best
+    rK2-free set found (or the star construction, if larger) up to |E|.
+    """
+    masks, complete = maximal_free_masks(g, r, node_budget)
+    value = masks[0].bit_count()
+    witness = min(_bits(mk) for mk in masks if mk.bit_count() == value)
+    if edge_subset_has_r_matching(g, witness, r):
+        raise CertificateError(f"structure witness {witness} contains an {r}-matching")
+    if complete:
+        return TuranCertificate(value, frozenset(witness), "structure")
+    star_val, star_edges = star_lower_bound(g, r)
+    if star_val > value:
+        value, witness = star_val, star_edges
+    return TuranCertificate(
+        value, frozenset(witness), "structure", exact=False, bounds=(value, g.m)
+    )

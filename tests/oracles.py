@@ -93,14 +93,18 @@ def line_graph_independent_count(g: Graph, r: int) -> int:
 
 def brute_turan(g: Graph, r: int) -> int:
     """max |F| over rK2-free edge subsets, by full enumeration."""
-    best = 0
-    for mask in range(1 << g.m):
-        ids = [i for i in range(g.m) if mask >> i & 1]
-        if len(ids) <= best:
-            continue
-        if not brute_has_r_matching(g, ids, r):
-            best = len(ids)
-    return best
+    return brute_turan_witness(g, r)[0]
+
+
+def brute_turan_witness(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
+    """ex(G, rK2) and the lexicographically smallest extremal edge-index
+    tuple: the first rK2-free subset when all 2^m subsets are listed by
+    size, largest first, and lexicographically within a size."""
+    for size in range(g.m, -1, -1):
+        for ids in combinations(range(g.m), size):
+            if not brute_has_r_matching(g, ids, r):
+                return size, ids
+    raise ValueError("r must be at least 1")
 
 
 def brute_has_r_matching(g: Graph, edge_ids, r: int) -> bool:

@@ -68,10 +68,10 @@ def test_criterion_2_cycle_turan_values():
             if n < 2 * r + 1:
                 continue
             cert = turan_matchings(make_cycle(n), r)
-            assert cert.exact and cert.method == "exhaustive"
+            assert cert.exact and cert.method == "structure"
             assert cert.ex_value == 2 * r - 2, (n, r)
             checked += 1
-    _report(2, f"ex(C_n, rK2) = 2r - 2 certified exhaustively on {checked} cases", started)
+    _report(2, f"ex(C_n, rK2) = 2r - 2 certified by structures on {checked} cases", started)
 
 
 def test_criterion_3_permutation_graphs():

@@ -5,6 +5,7 @@ import pytest
 from matchgraph import (
     CapacityError,
     EdgeOrdering,
+    Graph,
     Hypergraph,
     alt,
     alt_min,
@@ -15,12 +16,14 @@ from matchgraph import (
     ex_salt_sigma,
     euler_ordering,
     general_kneser,
+    make_complete,
     make_complete_bipartite,
     make_cycle,
     matching_chi_lower_bound,
     matching_hypergraph,
     salt_min,
     salt_sigma,
+    turan_matchings,
 )
 
 from tests.oracles import (
@@ -103,9 +106,12 @@ def test_capacity_errors():
         alt_sigma(h, EdgeOrdering.identity(19))
     with pytest.raises(CapacityError):
         alt_min(Hypergraph(9, ()))
+    # the graph-side engines have no edge cap, only a node budget
     c6 = make_cycle(6)
     with pytest.raises(CapacityError):
-        ex_alt_sigma(c6, 2, EdgeOrdering.identity(6), cap=5)
+        ex_alt_sigma(c6, 2, EdgeOrdering.identity(6), node_budget=5)
+    with pytest.raises(CapacityError):
+        ex_salt_sigma(c6, 2, EdgeOrdering.identity(6), node_budget=5)
 
 
 def test_alt_min_examples():
@@ -141,21 +147,34 @@ def test_ex_alt_examples():
     ident = EdgeOrdering.identity(4)
     assert ex_alt_sigma(c4, 2, ident) == 3
     # edgeless graph
-    from matchgraph import Graph
-
     assert ex_alt_sigma(Graph(3, ()), 2, EdgeOrdering.identity(0)) == 0
 
 
 def test_ex_alt_salt_against_exhaustive_oracle():
     rng = random.Random(83)
-    for _ in range(40):
+    # edgeless, and whole edge set rK2-free for r >= 2 (star) and r >= 3 (K_4)
+    graphs = [Graph(3, ()), make_complete_bipartite(1, 4), make_complete(4)]
+    while len(graphs) < 40:
         g = random_graph(rng, rng.randint(2, 6), rng.random())
-        if g.m > 9:
-            continue
-        r = rng.randint(1, 3)
+        if g.m <= 9:
+            graphs.append(g)
+    for g in graphs:
+        r = rng.randint(1, 5)
         sigma = EdgeOrdering(tuple(rng.sample(range(g.m), g.m)))
         assert ex_alt_sigma(g, r, sigma) == exhaustive_ex_alt(g, r, sigma, strong=False)
         assert ex_salt_sigma(g, r, sigma) == exhaustive_ex_alt(g, r, sigma, strong=True)
+
+
+def test_ex_alt_beyond_thirty_edges():
+    for a, b in ((11, 11), (13, 11)):
+        g = make_complete_bipartite(a, b)
+        ex = turan_matchings(g, 2).ex_value
+        assert ex == a
+        shuffled = EdgeOrdering(tuple(random.Random(a).sample(range(g.m), g.m)))
+        for sigma in (EdgeOrdering.identity(g.m), shuffled):
+            ea = ex_alt_sigma(g, 2, sigma)
+            assert ex <= ea <= 2 * ex
+            assert ea <= ex_salt_sigma(g, 2, sigma)
 
 
 def test_correspondence_matching_hypergraph():

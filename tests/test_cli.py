@@ -4,10 +4,17 @@ import os
 import pytest
 
 import matchgraph.cli
-from matchgraph import format_graph, make_complete_bipartite, make_cycle, make_disjoint_matching
+from matchgraph import (
+    format_graph,
+    make_complete,
+    make_complete_bipartite,
+    make_cycle,
+    make_disjoint_matching,
+)
 from matchgraph.cli import (
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VIOLATION,
     cmd_analyze,
     cmd_permutation,
     cmd_schrijver,
@@ -145,14 +152,44 @@ def test_cmd_analyze_certifies_nu_above_20_vertices(tmp_path):
     assert report["exactness"]["nu"] == "certified"
 
 
-def test_main_capacity_error_exits_cleanly(tmp_path, capsys):
-    # C_31 has 31 edges, one above the alternation engine's edge cap
-    path = tmp_path / "c31.txt"
-    path.write_text(format_graph(make_cycle(31)), encoding="ascii")
-    assert main(["analyze", str(path), "--r", "2"]) == EXIT_USAGE
+def test_main_capacity_error_exits_cleanly(tmp_path, capsys, monkeypatch):
+    # five nodes cannot enumerate the Turan structures of K_7 at r = 3, and
+    # the alternation engine refuses a truncated enumeration
+    real = matchgraph.cli.ex_alt_sigma
+    monkeypatch.setattr(
+        matchgraph.cli, "ex_alt_sigma", lambda g, r, sigma: real(g, r, sigma, node_budget=5)
+    )
+    path = tmp_path / "k7.txt"
+    path.write_text(format_graph(make_complete(7)), encoding="ascii")
+    assert main(["analyze", str(path), "--r", "3"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "cap" in captured.err
+    assert captured.err.startswith("error: ") and "node budget" in captured.err
+
+
+def test_cmd_analyze_beyond_thirty_edges(tmp_path):
+    # K_{8,4}: 32 edges, Eulerian; chi = m(n - r + 1) = 24
+    path = tmp_path / "k84.txt"
+    path.write_text(format_graph(make_complete_bipartite(8, 4)), encoding="ascii")
+    report = cmd_analyze(str(path), 2, node_budget=2000)
+    res = report["results"]
+    assert res["m"] == 32
+    assert res["ex"] == 8 and res["ex_method"] == "structure"
+    assert res["chi"] == 24
+    assert report["exactness"] == {"nu": "certified", "ex": "certified", "chi": "certified"}
+    assert res["audits"] and all(res["audits"].values())
+
+
+def test_spider_finding_pinned(tmp_path):
+    # the spider S(2,2,2) at r = 3: chi = 1 while |E| - ex = 2
+    path = tmp_path / "spider.txt"
+    path.write_text("7 6\n0 3\n0 6\n1 3\n1 5\n2 3\n2 4\n", encoding="ascii")
+    report = cmd_analyze(str(path), 3)
+    res = report["results"]
+    assert (res["chi"], res["ex"]) == (1, 4)
+    assert report["exactness"]["chi"] == report["exactness"]["ex"] == "certified"
+    assert res["violations"] == [{"chi": 1, "ex": 4, "m": 6}]
+    assert main(["analyze", str(path), "--r", "3"]) == EXIT_VIOLATION
 
 
 def test_cmd_analyze_identity_ordering(tmp_path):

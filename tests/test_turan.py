@@ -3,6 +3,10 @@ import random
 import pytest
 
 from matchgraph import (
+    CapacityError,
+    EdgeOrdering,
+    Graph,
+    ex_alt_sigma,
     is_f_free,
     make_complete,
     make_complete_bipartite,
@@ -12,7 +16,7 @@ from matchgraph import (
     turan_matchings,
 )
 
-from tests.oracles import brute_turan, random_graph
+from tests.oracles import brute_turan, brute_turan_witness, random_graph
 
 
 def test_turan_examples():
@@ -34,7 +38,7 @@ def test_turan_cycles_formula():
             if n >= 2 * r + 1:
                 cert = turan_matchings(make_cycle(n), r)
                 assert cert.ex_value == 2 * r - 2, (n, r)
-                assert cert.method == "exhaustive"
+                assert cert.method == "structure"
                 assert is_f_free(cert.extremal_edges, make_cycle(n), r)
 
 
@@ -48,24 +52,30 @@ def test_turan_matches_brute_force():
             assert turan_matchings(g, r).ex_value == brute_turan(g, r), (g.edges, r)
 
 
-def test_branch_bound_agrees_with_exhaustive():
+def test_turan_witness_matches_brute_force():
     rng = random.Random(31)
-    for _ in range(25):
-        g = random_graph(rng, rng.randint(3, 7), 0.7)
-        if g.m == 0:
-            continue
-        r = rng.randint(2, 3)
-        a = turan_matchings(g, r)
-        b = turan_matchings(g, r, exhaustive_limit=0)
-        assert (a.ex_value, a.extremal_edges) == (b.ex_value, b.extremal_edges)
-        assert b.method == "branch-bound"
+    graphs = [Graph(4, ()), make_complete_bipartite(1, 5), make_complete(5)]
+    while len(graphs) < 120:
+        g = random_graph(rng, rng.randint(2, 8), rng.random())
+        if g.m <= 12:
+            graphs.append(g)
+    for g in graphs:
+        for r in range(1, 6):
+            cert = turan_matchings(g, r)
+            assert cert.exact and cert.method == "structure"
+            value, witness = brute_turan_witness(g, r)
+            found = (cert.ex_value, tuple(sorted(cert.extremal_edges)))
+            assert found == (value, witness), (g.edges, r)
 
 
 def test_turan_budget_interval():
     g = make_complete(7)
-    cert = turan_matchings(g, 3, exhaustive_limit=0, node_budget=5)
+    cert = turan_matchings(g, 3, node_budget=5)
     assert not cert.exact
-    assert cert.bounds[0] <= turan_matchings(g, 3).ex_value <= cert.bounds[1]
+    assert len(cert.extremal_edges) == cert.bounds[0] and is_f_free(cert.extremal_edges, g, 3)
+    assert cert.bounds[0] <= turan_matchings(g, 3).ex_value == 11 <= cert.bounds[1]
+    with pytest.raises(CapacityError):
+        ex_alt_sigma(g, 3, EdgeOrdering.identity(g.m), node_budget=5)
 
 
 def test_star_lower_bound_examples():
