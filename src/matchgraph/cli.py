@@ -67,11 +67,12 @@ def _graph_sha(g: Graph) -> str:
 
 def _finish_report(report: dict, started: float) -> dict:
     body = {k: v for k, v in report.items() if k != "timing"}
-    # default= converts sets as they come, so the report is not copied first
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, default=_jsonable).encode("utf-8")
-    ).hexdigest()
-    report["determinism_sha256"] = digest
+    # default= converts sets as they come, so the report is not copied first;
+    # hashing chunk by chunk never holds the whole JSON text of a scan.
+    digest = hashlib.sha256()
+    for chunk in json.JSONEncoder(sort_keys=True, default=_jsonable).iterencode(body):
+        digest.update(chunk.encode("utf-8"))
+    report["determinism_sha256"] = digest.hexdigest()
     report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     return report
 
@@ -418,6 +419,15 @@ def cmd_scan(
             records = pool.map(_scan_one, tasks)
     else:
         records = [_scan_one(t) for t in tasks]
+
+    # Many graphs share a coloring, a lower-bound witness or an extremal set;
+    # each distinct one is kept once, since the report holds every record.
+    distinct: dict[str, object] = {}
+    for rec in records:
+        certs = rec["certificates"]
+        for key in ("coloring", "lower_witness", "extremal_edges"):
+            certs[key] = distinct.setdefault(repr(certs[key]), certs[key])
+        rec["extremal_edges"] = certs["extremal_edges"]
 
     violations = [rec for rec in records if rec["equality"] is False]
     capacity_failures = [rec for rec in records if not rec["certified"]]

@@ -1,136 +1,80 @@
 """Enumeration of connected graphs up to isomorphism at small orders.
 
 Canonical forms are permutation-minimal edge bitmasks (vertex pairs in
-lexicographic order).  Connected graphs on n vertices are generated by
-edge augmentation: labeled trees from Pruefer sequences seed the n-1-edge
-level, and each level is grown by one edge and deduplicated by canonical
-form.  Feasible through n = 7 (5040 permutations, 853 graphs).
+lexicographic order), found by handing out labels from the top without
+listing permutations.  The connected graphs on n vertices are grown from
+the (n-1)-vertex representatives by one new vertex with every nonempty
+neighbourhood: every connected graph has a non-cut vertex (a leaf of a
+spanning tree), so every one is reached.  The scan uses n <= 7 (853
+graphs); n = 8 (11117 graphs) works but takes about 20 times as long.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Iterator
-
-import numpy as np
 
 from .graphs import Graph
 
-_tables: dict[int, tuple[list[tuple[int, int]], np.ndarray, np.ndarray]] = {}
-
-
-def _pair_table(n: int):
-    """(pairs, perm_table, weights) for canonicalizing n-vertex edge masks."""
-    if n in _tables:
-        return _tables[n]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    index = {p: i for i, p in enumerate(pairs)}
-    perms = list(permutations(range(n)))
-    table = np.empty((len(perms), len(pairs)), dtype=np.int32)
-    for k, perm in enumerate(perms):
-        for q, (u, v) in enumerate(pairs):
-            a, b = perm[u], perm[v]
-            if a > b:
-                a, b = b, a
-            table[k, q] = index[(a, b)]
-    weights = (1 << np.arange(len(pairs), dtype=np.int64))
-    _tables[n] = (pairs, table, weights)
-    return _tables[n]
-
 
 def canonical_form(g: Graph) -> int:
-    """Permutation-minimal edge bitmask; equal forms mean isomorphic graphs."""
-    pairs, table, weights = _pair_table(g.n)
-    index = {p: i for i, p in enumerate(pairs)}
-    bits = np.zeros(len(pairs), dtype=np.int64)
-    for e in g.edges:
-        bits[index[e]] = 1
-    packed = bits[table].dot(weights)
-    return int(packed.min())
+    """Permutation-minimal edge bitmask; equal forms mean isomorphic graphs.
+
+    Labels are handed out from n - 1 downwards.  The bits of the pairs
+    (k, j) with j > k lie above the bits of every pair with a smaller first
+    label, so giving label k to a vertex fixes the next block of high bits:
+    its adjacency to the vertices already labelled.  ``codes`` holds that
+    block for every unlabelled vertex (-1 marks a labelled one); only the
+    partial labellings whose fixed bits are smallest are kept, and those
+    with equal codes complete alike, so each code tuple is kept once.
+    """
+    n = g.n
+    adj = g.adj_masks
+    form = 0
+    level = {(0,) * n}
+    for k in range(n - 1, -1, -1):
+        best = min(c for codes in level for c in codes if c >= 0)
+        form |= best << (k * n - k * (k + 1) // 2)
+        level = {
+            tuple(
+                -1 if d < 0 or u == v else d << 1 | adj[v] >> u & 1
+                for u, d in enumerate(codes)
+            )
+            for codes in level
+            for v, c in enumerate(codes)
+            if c == best
+        }
+    return form
 
 
-def _graph_from_form(n: int, form: int) -> Graph:
-    pairs, _, _ = _pair_table(n)
-    edges = tuple(pairs[i] for i in range(len(pairs)) if form >> i & 1)
-    return Graph(n, edges)
-
-
-def _labeled_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Edge lists of all labeled trees on n vertices via Pruefer decoding."""
+def _next_order(smaller: list[Graph], n: int) -> list[Graph]:
+    """Connected n-vertex representatives grown from the (n-1)-vertex ones,
+    ordered by edge count then canonical form."""
     if n == 1:
-        yield ()
-        return
-    if n == 2:
-        yield ((0, 1),)
-        return
-
-    def decode(seq):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        ptr = 0
-        leaf = -1
-        for v in seq:
-            if leaf == -1:
-                while degree[ptr] != 1:
-                    ptr += 1
-                leaf = ptr
-            u = leaf
-            degree[u] -= 1
-            degree[v] -= 1
-            edges.append((min(u, v), max(u, v)))
-            if degree[v] == 1 and v < ptr:
-                leaf = v
-            else:
-                leaf = -1
-        last = [v for v in range(n) if degree[v] == 1]
-        edges.append((last[0], last[1]))
-        return tuple(edges)
-
-    seq = [0] * (n - 2)
-    while True:
-        yield decode(seq)
-        i = n - 3
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            break
-        seq[i] += 1
+        return [Graph(1, ())]
+    forms = set()
+    for h in smaller:
+        for nbrs in range(1, 1 << (n - 1)):
+            star = tuple((u, n - 1) for u in range(n - 1) if nbrs >> u & 1)
+            forms.add(canonical_form(Graph(n, h.edges + star)))
+    # One tuple per vertex pair, shared by every graph of this order: scan
+    # records keep these edge tuples.
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return [
+        Graph(n, tuple(p for i, p in enumerate(pairs) if f >> i & 1))
+        for f in sorted(forms, key=lambda f: (f.bit_count(), f))
+    ]
 
 
 def connected_graphs_exactly(n: int) -> list[Graph]:
     """Canonical representatives of all connected graphs on exactly n vertices,
     ordered by edge count then canonical form."""
-    if n < 1:
-        return []
-    if n == 1:
-        return [Graph(1, ())]
-    pairs, _, _ = _pair_table(n)
-    level: set[int] = set()
-    for edges in _labeled_trees(n):
-        level.add(canonical_form(Graph(n, edges)))
-    out: list[Graph] = []
-    max_edges = len(pairs)
-    edge_count = n - 1
-    while level:
-        out.extend(_graph_from_form(n, f) for f in sorted(level))
-        if edge_count == max_edges:
-            break
-        nxt: set[int] = set()
-        for f in level:
-            for i in range(len(pairs)):
-                if not f >> i & 1:
-                    g = _graph_from_form(n, f | (1 << i))
-                    nxt.add(canonical_form(g))
-        level = nxt
-        edge_count += 1
-    return out
+    return [g for g in connected_graphs_up_to(n) if g.n == n]
 
 
 def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     """Connected graphs up to isomorphism with 1..max_n vertices, in
     (vertex count, edge count, canonical form) order."""
+    graphs: list[Graph] = []
     for n in range(1, max_n + 1):
-        yield from connected_graphs_exactly(n)
+        graphs = _next_order(graphs, n)
+        yield from graphs

@@ -8,7 +8,7 @@ search code so the two sides of every comparison stay independent.
 from __future__ import annotations
 
 import random
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 
@@ -25,6 +25,17 @@ def to_networkx(g: Graph) -> nx.Graph:
     out.add_nodes_from(range(g.n))
     out.add_edges_from(g.edges)
     return out
+
+
+def brute_canonical_form(g: Graph) -> int:
+    """Minimum over all n! relabellings of the edge bitmask, pairs in
+    lexicographic order: the definition of smallgraphs.canonical_form."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    index = {p: i for i, p in enumerate(pairs)}
+    return min(
+        sum(1 << index[tuple(sorted((perm[u], perm[v])))] for u, v in g.edges)
+        for perm in permutations(range(g.n))
+    )
 
 
 def nx_matching_size(g: Graph) -> int:

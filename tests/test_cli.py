@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -84,6 +86,30 @@ def test_cmd_scan_small():
         assert rec["certificates"]["lower_witness"]["kind"] in (
             "clique", "external", "exhausted", "empty",
         )
+
+
+def test_cmd_scan_n7_r3_pinned():
+    # 27 connected 7-vertex graphs where chi = |E| - ex - 1 at r = 3
+    report = cmd_scan(7, 3)
+    results = report["results"]
+    assert report["determinism_sha256"] == (
+        "d4510285579f7a67a0d76322b43e87017e9191fb2999b4b34d0b8280785dac3c"
+    )
+    assert list(results["graphs_by_vertex_count"].values()) == [1, 1, 2, 6, 21, 112, 853]
+    assert len(results["violations"]) == 27
+    assert all(v["n"] == 7 for v in results["violations"])
+    assert results["capacity_failures"] == []
+
+
+def test_cli_import_leaves_numpy_out():
+    # in a fresh interpreter: the test process itself has numpy via networkx
+    code = "import sys, matchgraph.cli; print('numpy' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(matchgraph.cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_cmd_scan_pool_bounded_by_cpu_count(monkeypatch):

@@ -1,10 +1,17 @@
 import random
 
-from matchgraph import Graph, is_connected
+from matchgraph import (
+    Graph,
+    is_connected,
+    make_complete,
+    make_complete_bipartite,
+    make_cycle,
+)
 from matchgraph.smallgraphs import canonical_form, connected_graphs_exactly, connected_graphs_up_to
+from tests.oracles import brute_canonical_form, random_graph
 
-# counts of connected graphs up to isomorphism by vertex count
-EXPECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+# counts of connected graphs up to isomorphism by vertex count (OEIS A001349)
+EXPECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def test_connected_graph_counts():
@@ -25,7 +32,7 @@ def test_up_to_ordering_and_total():
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(3)
     for _ in range(40):
-        n = rng.randint(2, 6)
+        n = rng.randint(2, 7)
         edges = tuple(
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
         )
@@ -43,3 +50,17 @@ def test_canonical_form_separates_nonisomorphic():
     path4 = Graph(4, ((0, 1), (1, 2), (2, 3)))
     star4 = Graph(4, ((0, 1), (0, 2), (0, 3)))
     assert canonical_form(path4) != canonical_form(star4)
+
+
+def test_canonical_form_matches_brute_force():
+    rng = random.Random(11)
+    graphs = [
+        Graph(1, ()),
+        Graph(7, ()),
+        make_complete(7),
+        make_cycle(7),
+        make_complete_bipartite(3, 4),
+    ]
+    graphs += [random_graph(rng, rng.randint(1, 7), rng.random()) for _ in range(60)]
+    for g in graphs:
+        assert canonical_form(g) == brute_canonical_form(g), g
