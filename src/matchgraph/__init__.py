@@ -75,7 +75,6 @@ from .matching import (
     TutteBergeWitness,
     edge_subset_has_r_matching,
     enumerate_matchings,
-    has_r_matching,
     matching_number,
     max_matching,
     tutte_berge,

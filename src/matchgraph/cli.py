@@ -3,8 +3,9 @@ and the small-graph conjecture scanner.
 
 Reports are versioned JSON with an exactness flag on every numeric claim
 and a determinism hash over everything except timing.  Exit codes:
-0 = all values certified, 2 = some interval/heuristic values,
-3 = a conjecture violation was found, 1 = usage or input errors.
+0 = all values certified, 2 = some values are sound intervals,
+3 = a conjecture violation was found, 1 = usage or input errors, or a
+budget refusal that leaves no sound interval to report.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from multiprocessing import Pool
 
 from .alternation import EdgeOrdering, ex_alt_sigma, ex_salt_sigma
 from .coloring import chromatic_number, coloring_from_extremal, export_dimacs
-from .errors import CapacityError, NotEulerianError
+from .errors import CapacityError
 from .graphs import (
     Graph,
     format_graph,
@@ -167,7 +168,7 @@ def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):
         lb = max(lb, bound_details[name]["chi_lower"])
     initial = None
     if ex_cert.exact:
-        initial = coloring_from_extremal(g, r, ex_cert.extremal_edges)
+        initial = coloring_from_extremal(kg.source, ex_cert.extremal_edges)
     cert = chromatic_number(
         kg,
         node_budget=node_budget,
@@ -311,10 +312,7 @@ def cmd_analyze(
         "odd_girth": _jsonable(conditions.odd_girth),
     }
 
-    try:
-        sigma = _resolve_ordering(g, ordering)
-    except NotEulerianError as exc:
-        raise ValueError(f"euler ordering unavailable: {exc}") from exc
+    sigma = _resolve_ordering(g, ordering)
     results["ordering"] = {"choice": ordering, "perm": list(sigma.perm)}
 
     kg, cert, lb, bounds = _chi_for_matching_graph(

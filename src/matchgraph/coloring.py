@@ -17,8 +17,7 @@ from typing import Sequence
 
 from .errors import CertificateError
 from .graphs import Graph
-from .hypergraphs import KneserGraph, matching_graph
-from .turan import is_f_free
+from .hypergraphs import Hypergraph, KneserGraph
 
 
 @dataclass(frozen=True)
@@ -239,29 +238,30 @@ def chromatic_number(
 
 
 # ---------------------------------------------------------------------------
-# Colorings of matching graphs from rK2-free edge sets.
+# General Kneser colorings from hyperedge-free ground sets.
 # ---------------------------------------------------------------------------
 
-def coloring_from_extremal(g: Graph, r: int, extremal) -> tuple[int, ...]:
-    """Proper coloring of matching_graph(g, r) from an rK2-free edge set.
+def coloring_from_extremal(h: Hypergraph, free) -> tuple[int, ...]:
+    """Proper coloring of general_kneser(h) from a set containing no hyperedge.
 
-    Each r-matching is colored by the rank (among edges outside the set) of
-    the smallest edge index it uses outside the set, so at most
-    |E(g)| - |extremal| colors appear.  An edge set containing an
-    r-matching is rejected.
+    Each hyperedge is colored by the rank (among ground elements outside
+    the set) of its smallest element outside the set, so at most
+    ground_n - |free| colors appear.  Hyperedges of one color share that
+    element.  For the matching hypergraph of G the free sets are the
+    rK2-free edge sets, and the bound is |E(G)| - ex(G, rK2).
     """
-    extremal = frozenset(extremal)
-    if any(not 0 <= e < g.m for e in extremal):
-        raise ValueError("extremal edge index out of range")
-    if not is_f_free(extremal, g, r):
-        raise CertificateError("extremal set contains an r-matching")
-    outside = [e for e in range(g.m) if e not in extremal]
-    rank = {e: i for i, e in enumerate(outside)}
-    mg = matching_graph(g, r)
+    free_mask = 0
+    for e in free:
+        if not 0 <= e < h.ground_n:
+            raise ValueError(f"ground element {e} out of range")
+        free_mask |= 1 << e
     colors = []
-    for hedge in mg.source.hyperedges:
-        smallest = min(e for e in hedge if e not in extremal)
-        colors.append(rank[smallest])
+    for mask in h.masks:
+        outside = mask & ~free_mask
+        if not outside:
+            raise CertificateError("the free set contains a hyperedge")
+        # The rank of the lowest outside element counts the outside elements below it.
+        colors.append((((outside & -outside) - 1) & ~free_mask).bit_count())
     return tuple(colors)
 
 

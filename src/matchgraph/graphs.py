@@ -29,13 +29,12 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        # Pairs that are already int tuples are kept, not copied.
-        object.__setattr__(self, "edges", tuple(
-            e if type(e) is tuple and all(type(x) is int for x in e) else tuple(map(int, e))
-            for e in self.edges
-        ))
+        # tuple() returns a tuple argument itself, so shared pairs are not copied.
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         seen = set()
         for u, v in self.edges:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge ({u!r},{v!r}) has a non-int end")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < v < self.n):
@@ -49,21 +48,12 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex tuple of (neighbor, edge index), sorted ascending."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for i, (u, v) in enumerate(self.edges):
-            adj[u].append((v, i))
-            adj[v].append((u, i))
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(mask.bit_count() for mask in self.adj_masks)
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
-        """Neighbor sets as bitmasks, for bit-parallel component scans."""
+        """Neighbor sets as bitmasks: the graph's one adjacency form."""
         masks = [0] * self.n
         for u, v in self.edges:
             masks[u] |= 1 << v
@@ -139,6 +129,22 @@ def make_path(n: int) -> Graph:
 # Structural primitives.
 # ---------------------------------------------------------------------------
 
+def _bfs_levels(g: Graph, seed: int, alive: int):
+    """Vertex masks of the BFS levels from the vertex mask `seed` inside `alive`."""
+    masks = g.adj_masks
+    seen = frontier = seed
+    while frontier:
+        yield frontier
+        nxt = 0
+        f = frontier
+        while f:
+            bit = f & -f
+            f ^= bit
+            nxt |= masks[bit.bit_length() - 1]
+        frontier = nxt & alive & ~seen
+        seen |= frontier
+
+
 def component_masks(g: Graph, removed: Iterable[int] = ()) -> list[int]:
     """Connected components of g minus `removed`, as vertex bitmasks."""
     dead = 0
@@ -147,21 +153,11 @@ def component_masks(g: Graph, removed: Iterable[int] = ()) -> list[int]:
             raise ValueError(f"removed vertex {v} not in graph")
         dead |= 1 << v
     alive = ((1 << g.n) - 1) & ~dead
-    masks = g.adj_masks
     out = []
     while alive:
-        seed = alive & -alive
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                bit = f & -f
-                f ^= bit
-                nxt |= masks[bit.bit_length() - 1]
-            frontier = nxt & alive & ~comp
-            comp |= frontier
+        comp = 0
+        for level in _bfs_levels(g, alive & -alive, alive):
+            comp |= level
         out.append(comp)
         alive &= ~comp
     return out
@@ -178,52 +174,41 @@ def is_connected(g: Graph) -> bool:
     return len(component_masks(g)) == 1
 
 
+def _has_inner_edge(g: Graph, vertices: int) -> bool:
+    """Does some edge join two vertices of the vertex mask?"""
+    return any(g.adj_masks[v] & vertices for v in range(g.n) if vertices >> v & 1)
+
+
 def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-coloring by BFS; returns the side masks, or None if not bipartite."""
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w, _ in g.adjacency[v]:
-                if color[w] == -1:
-                    color[w] = color[v] ^ 1
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = sum(1 << v for v in range(g.n) if color[v] == 0)
-    side1 = ((1 << g.n) - 1) ^ side0
-    return side0, side1
+    """Two-coloring by BFS levels; returns the side masks, or None if not bipartite.
+
+    Each component's lowest vertex is on side 0.  An edge inside a BFS level
+    closes an odd walk; without one, even and odd levels are the two sides.
+    """
+    side0 = 0
+    for comp in component_masks(g):
+        for depth, level in enumerate(_bfs_levels(g, comp & -comp, comp)):
+            if _has_inner_edge(g, level):
+                return None
+            if depth % 2 == 0:
+                side0 |= level
+    return side0, ((1 << g.n) - 1) ^ side0
 
 
 def odd_girth(g: Graph) -> int | float:
     """Length of a shortest odd cycle; INFINITE when the graph is bipartite.
 
-    BFS from every vertex; an edge inside one BFS level closes an odd walk of
-    length level(u) + level(v) + 1, and the minimum over all roots is the odd
-    girth.
+    BFS from every vertex; an edge inside level d closes an odd walk of
+    length 2d + 1, and the minimum over all roots is the odd girth.
     """
-    if bipartition(g) is not None:
-        return INFINITE
     best = INFINITE
     for root in range(g.n):
-        dist = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w, _ in g.adjacency[v]:
-                if dist[w] == -1:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        for u, v in g.edges:
-            if dist[u] != -1 and dist[u] == dist[v]:
-                best = min(best, 2 * dist[u] + 1)
+        for depth, level in enumerate(_bfs_levels(g, 1 << root, (1 << g.n) - 1)):
+            if 2 * depth + 1 >= best:
+                break
+            if _has_inner_edge(g, level):
+                best = 2 * depth + 1
+                break
     return best
 
 

@@ -132,9 +132,14 @@ def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], stop_at: int | Non
     return match, size
 
 
+def _neighbour_lists(g: Graph) -> list[list[int]]:
+    """Ascending neighbour lists, the matcher's input form."""
+    return [[w for w in range(g.n) if mask >> w & 1] for mask in g.adj_masks]
+
+
 def max_matching(g: Graph) -> Matching:
     """A maximum-cardinality matching; its size is the matching number."""
-    adj = tuple(tuple(w for w, _ in a) for a in g.adjacency)
+    adj = _neighbour_lists(g)
     match, _ = _augmenting_matcher(g.n, adj)
     edges = tuple(
         g.edge_index[(v, match[v])] for v in range(g.n) if match[v] > v
@@ -144,17 +149,6 @@ def max_matching(g: Graph) -> Matching:
 
 def matching_number(g: Graph) -> int:
     return len(max_matching(g))
-
-
-def has_r_matching(g: Graph, r: int) -> bool:
-    """True iff the graph has a matching of r edges."""
-    if r <= 0:
-        return True
-    if 2 * r > g.n or r > g.m:
-        return False
-    adj = tuple(tuple(w for w, _ in a) for a in g.adjacency)
-    _, size = _augmenting_matcher(g.n, adj, stop_at=r)
-    return size >= r
 
 
 def edge_subset_has_r_matching(g: Graph, edge_ids: Iterable[int], r: int) -> bool:
@@ -201,7 +195,7 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
     the matching it certifies the matching number.
     """
     n = g.n
-    adj = tuple(tuple(w for w, _ in a) for a in g.adjacency)
+    adj = _neighbour_lists(g)
     _, nu = _augmenting_matcher(n, adj)
     missable = neighbours = 0  # D and the neighbours of D, as bitmasks
     for v in range(n):

@@ -137,12 +137,17 @@ def brute_has_r_matching(g: Graph, edge_ids, r: int) -> bool:
 # Cycles and tours.
 # ---------------------------------------------------------------------------
 
+def neighbour_lists(g: Graph) -> list[list[int]]:
+    return [[w for w in range(g.n) if g.has_edge(v, w)] for v in range(g.n)]
+
+
 def odd_girth_by_cycle_enumeration(g: Graph):
     """Shortest odd cycle by DFS enumeration of all simple cycles."""
     best = [None]
+    nbrs = neighbour_lists(g)
 
     def walk(start, v, visited, length):
-        for w, _ in g.adjacency[v]:
+        for w in nbrs[v]:
             if w == start and length >= 3:
                 if length % 2 == 1 and (best[0] is None or length < best[0]):
                     best[0] = length
@@ -187,12 +192,13 @@ def k_colorable(g: Graph, k: int) -> bool:
     if k <= 0:
         return g.n == 0
     colors = [-1] * g.n
+    nbrs = neighbour_lists(g)
 
     def place(v):
         if v == g.n:
             return True
         for c in range(k):
-            if all(colors[w] != c for w, _ in g.adjacency[v]):
+            if all(colors[w] != c for w in nbrs[v]):
                 colors[v] = c
                 if place(v + 1):
                     return True

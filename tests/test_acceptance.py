@@ -50,7 +50,7 @@ def test_criterion_1_schrijver_table():
             kg,
             known_lower=lb,
             initial_coloring=coloring_from_extremal(
-                g, r, turan_matchings(g, r).extremal_edges
+                kg.source, turan_matchings(g, r).extremal_edges
             ),
         )
         cold = chromatic_number(kg)
@@ -84,7 +84,7 @@ def test_criterion_3_permutation_graphs():
             kg,
             known_lower=lb,
             initial_coloring=coloring_from_extremal(
-                g, r, turan_matchings(g, r).extremal_edges
+                kg.source, turan_matchings(g, r).extremal_edges
             ),
         )
         cold = chromatic_number(kg)
@@ -124,17 +124,18 @@ def test_criterion_5_star_formula_pipeline():
             assert ex_alt_sigma(g, r, sigma) <= rep.sum_top_degrees
         lb = matching_chi_lower_bound(g, r, sigma)
         assert lb == rep.formula_value
+        kg = matching_graph(g, r)
         cert = chromatic_number(
-            matching_graph(g, r),
+            kg,
             known_lower=lb,
             initial_coloring=coloring_from_extremal(
-                g, r, turan_matchings(g, r).extremal_edges
+                kg.source, turan_matchings(g, r).extremal_edges
             ),
         )
         assert cert.exact and cert.chi == rep.formula_value
         # independent cold solve where the matching graph is small enough
         if g.m <= 12:
-            cold = chromatic_number(matching_graph(g, r))
+            cold = chromatic_number(kg)
             assert cold.exact and cold.chi == rep.formula_value
     assert time.time() - started < 600
     _report(5, "euler-ordering alternation bound = |E| - sum(top degrees) = chi "

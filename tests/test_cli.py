@@ -238,6 +238,34 @@ def test_cmd_analyze_disconnected_flag(tmp_path):
     assert res["chi"] == 2  # the known equality chi = |E| - 2 ex for nK2
 
 
+def test_cmd_analyze_euler_with_isolated_vertex_and_odd_degrees(tmp_path, capsys):
+    # an isolated vertex, a claw (three odd-degree leaves and an odd center)
+    # and a triangle: the Euler ordering tours each component on its own
+    path = tmp_path / "mixed.txt"
+    path.write_text("8 6\n1 2\n1 3\n1 4\n5 6\n5 7\n6 7\n", encoding="ascii")
+    res = cmd_analyze(str(path), 2, ordering="euler")["results"]
+    assert res["connected"] is False
+    assert res["ordering"] == {"choice": "euler", "perm": [0, 1, 2, 4, 3, 5]}
+    assert (res["ex"], res["chi"], res["alternation_chi_lower"]) == (3, 3, 3)
+    assert main(["analyze", str(path), "--r", "3", "--ordering", "euler"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["results"]["chi"] == 0
+
+
+def test_one_kneser_build_per_instance(tmp_path, monkeypatch):
+    import matchgraph.hypergraphs as hypergraphs
+
+    built = []
+    real = hypergraphs.general_kneser
+    monkeypatch.setattr(hypergraphs, "general_kneser", lambda h: built.append(h) or real(h))
+    path = tmp_path / "k43.txt"
+    path.write_text(format_graph(make_complete_bipartite(4, 3)), encoding="ascii")
+    assert cmd_analyze(str(path), 2)["results"]["chi"] == 8
+    assert len(built) == 1
+    built.clear()
+    report = cmd_scan(5, 2)
+    assert len(built) == report["results"]["graphs_scanned"] == 31
+
+
 def test_main_exit_codes(tmp_path, capsys):
     path = tmp_path / "c5.txt"
     from matchgraph import make_cycle

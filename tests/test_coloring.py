@@ -5,10 +5,12 @@ import pytest
 from matchgraph import (
     CertificateError,
     Graph,
+    Hypergraph,
     chromatic_number,
     coloring_from_extremal,
     export_dimacs,
     extend_bipartite_matching_coloring,
+    general_kneser,
     greedy_clique,
     is_proper,
     make_complete,
@@ -20,7 +22,7 @@ from matchgraph import (
     turan_matchings,
 )
 
-from tests.oracles import chromatic_by_backtracking, random_graph
+from tests.oracles import chromatic_by_backtracking, random_graph, random_hypergraph
 
 
 def test_chromatic_examples():
@@ -83,9 +85,9 @@ def test_solver_value_deterministic():
 
 
 def test_known_lower_short_circuits():
-    g = matching_graph(make_complete_bipartite(6, 4), 2)
     k64 = make_complete_bipartite(6, 4)
-    init = coloring_from_extremal(k64, 2, star_lower_bound(k64, 2)[1])
+    g = matching_graph(k64, 2)
+    init = coloring_from_extremal(g.source, star_lower_bound(k64, 2)[1])
     cert = chromatic_number(g, known_lower=18, known_lower_label="alternation bound",
                             initial_coloring=init)
     assert cert.chi == 18 and cert.exact
@@ -111,10 +113,9 @@ def test_greedy_clique_is_clique():
 
 
 def test_coloring_from_extremal_cycle():
-    c5 = make_cycle(5)
-    col = coloring_from_extremal(c5, 2, {0, 1})
-    kg = matching_graph(c5, 2).graph
-    assert is_proper(kg, col)
+    kg = matching_graph(make_cycle(5), 2)
+    col = coloring_from_extremal(kg.source, {0, 1})
+    assert is_proper(kg.graph, col)
     assert len(set(col)) <= 5 - 2
 
 
@@ -122,22 +123,51 @@ def test_coloring_from_extremal_bipartite_star():
     k43 = make_complete_bipartite(4, 3)
     star = star_lower_bound(k43, 2)[1]
     assert len(star) == 4
-    col = coloring_from_extremal(k43, 2, star)
-    kg = matching_graph(k43, 2).graph
-    assert is_proper(kg, col)
+    kg = matching_graph(k43, 2)
+    col = coloring_from_extremal(kg.source, star)
+    assert is_proper(kg.graph, col)
     assert len(set(col)) == 8
 
 
 def test_coloring_from_extremal_rejections():
     c5 = make_cycle(5)
+    kg2, kg1 = matching_graph(c5, 2), matching_graph(c5, 1)
     with pytest.raises(CertificateError):
-        coloring_from_extremal(c5, 2, {0, 2})  # contains a 2-matching
+        coloring_from_extremal(kg2.source, {0, 2})  # contains a 2-matching
     with pytest.raises(CertificateError):
-        coloring_from_extremal(c5, 1, {0})  # a single edge is a 1-matching
+        coloring_from_extremal(kg1.source, {0})  # a single edge is a 1-matching
+    with pytest.raises(ValueError):
+        coloring_from_extremal(kg2.source, {0, 5})
+    with pytest.raises(ValueError):
+        coloring_from_extremal(kg2.source, {-1})
     # the empty set is the only 1K2-free set; it colors KG(G, K2) injectively
-    col = coloring_from_extremal(c5, 1, set())
-    assert is_proper(matching_graph(c5, 1).graph, col)
+    col = coloring_from_extremal(kg1.source, set())
+    assert is_proper(kg1.graph, col)
     assert len(set(col)) == 5
+
+
+def test_coloring_from_extremal_general_hypergraphs():
+    rng = random.Random(59)
+    checked = rejected = 0
+    for _ in range(200):
+        h = random_hypergraph(rng, 8, 12)
+        free = set(rng.sample(range(h.ground_n), rng.randint(0, h.ground_n)))
+        if any(set(e) <= free for e in h.hyperedges):
+            with pytest.raises(CertificateError):
+                coloring_from_extremal(h, free)
+            rejected += 1
+            continue
+        col = coloring_from_extremal(h, free)
+        assert is_proper(general_kneser(h).graph, col)
+        assert len(set(col)) <= h.ground_n - len(free)
+        checked += 1
+    assert checked > 50 and rejected > 20
+    h = Hypergraph(4, ((0, 1), (2, 3), (1, 2)))
+    assert coloring_from_extremal(h, {1}) == (0, 1, 1)
+    with pytest.raises(ValueError):
+        coloring_from_extremal(h, {4})
+    with pytest.raises(CertificateError):
+        coloring_from_extremal(h, {2, 3})
 
 
 def test_chi_at_most_edges_minus_ex():
@@ -151,7 +181,7 @@ def test_chi_at_most_edges_minus_ex():
         kg = matching_graph(g, r)
         chi = chromatic_number(kg).chi
         assert chi <= g.m - ex.ex_value
-        col = coloring_from_extremal(g, r, ex.extremal_edges)
+        col = coloring_from_extremal(kg.source, ex.extremal_edges)
         assert is_proper(kg.graph, col)
 
 

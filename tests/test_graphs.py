@@ -74,6 +74,30 @@ def test_graph_invariants_enforced():
         Graph(2, ((0, 2),))
 
 
+def test_graph_rejects_non_int_labels():
+    for edge in ((0, 1.7), (0.0, 1), ("0", "2"), (False, True), (0, True)):
+        with pytest.raises(ValueError):
+            Graph(3, (edge,))
+    # lists of int pairs are accepted; int tuple pairs are shared, not copied
+    assert Graph(3, [[0, 1], [1, 2]]).edges == ((0, 1), (1, 2))
+    pairs = ((0, 1), (1, 2))
+    g = Graph(3, pairs)
+    assert all(a is b for a, b in zip(g.edges, pairs))
+
+
+def test_bipartition_sides():
+    rng = random.Random(17)
+    for _ in range(60):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        sides = bipartition(g)
+        if sides is None:
+            continue
+        side0, side1 = sides
+        assert side0 | side1 == (1 << g.n) - 1 and not side0 & side1
+        assert all((side0 >> u & 1) != (side0 >> v & 1) for u, v in g.edges)
+        assert all(side0 & comp & -comp for comp in component_masks(g))
+
+
 def test_odd_components_examples():
     assert odd_components(make_path(3), [1]) == 2
     assert odd_components(make_cycle(6)) == 0

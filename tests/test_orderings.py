@@ -11,7 +11,6 @@ from matchgraph import (
     NotEulerianError,
     apex_ordering,
     chromatic_number,
-    coloring_from_extremal,
     euler_ordering,
     ex_alt_sigma,
     ex_salt_sigma,
