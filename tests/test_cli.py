@@ -88,6 +88,19 @@ def test_cmd_scan_small():
         )
 
 
+@pytest.mark.skipif(sys.implementation.name != "cpython",
+                    reason="key-sharing dicts are a CPython layout")
+def test_cmd_scan_records_share_key_tables():
+    keys = ["n", "edges", "r", "ex", "extremal_edges", "matching_graph_vertices",
+            "alternation_chi_lower", "certified", "chi", "equality", "certificates"]
+    for rec in cmd_scan(5, 2)["results"]["records"]:
+        assert type(rec) is dict and list(rec) == keys
+        assert sys.getsizeof(rec) < sys.getsizeof(dict(rec.items()))
+        certs = rec["certificates"]
+        assert list(certs) == ["coloring", "extremal_edges", "lower_witness"]
+        assert sys.getsizeof(certs) < sys.getsizeof(dict(certs.items()))
+
+
 def test_cmd_scan_n7_r3_pinned():
     # 27 connected 7-vertex graphs where chi = |E| - ex - 1 at r = 3
     report = cmd_scan(7, 3)
