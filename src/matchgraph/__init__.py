@@ -26,7 +26,6 @@ from .coloring import (
     chromatic_number,
     coloring_from_extremal,
     export_dimacs,
-    extend_bipartite_matching_coloring,
     greedy_clique,
     is_proper,
 )
@@ -63,7 +62,6 @@ from .graphs import (
 from .hypergraphs import (
     Hypergraph,
     KneserGraph,
-    f_subgraph_hypergraph,
     format_hypergraph,
     general_kneser,
     matching_graph,

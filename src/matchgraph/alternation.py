@@ -312,16 +312,19 @@ def chi_lower_bounds(h: Hypergraph, sigma: EdgeOrdering, cap: int = 18) -> tuple
     return (n - alt_sigma(h, sigma, cap=cap), n + 1 - salt_sigma(h, sigma, cap=cap))
 
 
+def alternation_chi_lower(m: int, ex_alt: int, ex_salt: int) -> int:
+    """chi(KG(G, rK2)) >= max(|E| - ex_alt, |E| + 1 - ex_salt) for G with m
+    edges and at least one r-matching, from one ordering's ex_alt_sigma and
+    ex_salt_sigma."""
+    return max(m - ex_alt, m + 1 - ex_salt)
+
+
 def matching_chi_lower_bound(g: Graph, r: int, sigma: EdgeOrdering) -> int:
     """Best alternation lower bound for chi(KG(g, rK2)) from one ordering.
 
-    Uses the graph-side engines: chi >= |E| - ex_alt_sigma and
-    chi >= |E| + 1 - ex_salt_sigma.  Clamped to 0 when g has no r-matching
-    (empty Kneser graph).
+    Uses the graph-side engines through :func:`alternation_chi_lower`.
+    Clamped to 0 when g has no r-matching (empty Kneser graph).
     """
     if not edge_subset_has_r_matching(g, range(g.m), r):
         return 0
-    return max(
-        g.m - ex_alt_sigma(g, r, sigma),
-        g.m + 1 - ex_salt_sigma(g, r, sigma),
-    )
+    return alternation_chi_lower(g.m, ex_alt_sigma(g, r, sigma), ex_salt_sigma(g, r, sigma))

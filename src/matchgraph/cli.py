@@ -19,7 +19,7 @@ import sys
 import time
 from multiprocessing import Pool
 
-from .alternation import EdgeOrdering, ex_alt_sigma, ex_salt_sigma
+from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_sigma, ex_salt_sigma
 from .coloring import chromatic_number, coloring_from_extremal, export_dimacs
 from .errors import CapacityError
 from .graphs import (
@@ -152,8 +152,8 @@ def _euler_componentwise(g: Graph) -> EdgeOrdering:
 def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):
     """Exact chromatic data for KG(g, rK2) using alternation lower bounds."""
     kg = matching_graph(g, r)
-    if kg.graph.n == 0:
-        cert = chromatic_number(kg.graph)
+    if kg.n == 0:
+        cert = chromatic_number(kg)
         return kg, cert, 0, {}
     bound_details = {}
     lb = 0
@@ -163,7 +163,7 @@ def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):
         bound_details[name] = {
             "ex_alt": ea,
             "ex_salt": es,
-            "chi_lower": max(g.m - ea, g.m + 1 - es),
+            "chi_lower": alternation_chi_lower(g.m, ea, es),
         }
         lb = max(lb, bound_details[name]["chi_lower"])
     initial = None
@@ -223,7 +223,7 @@ def _family_report(
             "formula_value": formula,
             "agrees_with_formula": cert.exact and cert.chi == formula,
             **(extra or {}),
-            "matching_graph_vertices": kg.graph.n,
+            "matching_graph_vertices": kg.n,
             "ex": ex_cert.ex_value,
             "euler_ordering_lower_bound": lb,
             "bounds_by_ordering": bounds,
@@ -318,7 +318,7 @@ def cmd_analyze(
     kg, cert, lb, bounds = _chi_for_matching_graph(
         g, r, ex_cert, {ordering: sigma}, node_budget
     )
-    results["matching_graph_vertices"] = kg.graph.n
+    results["matching_graph_vertices"] = kg.n
     results["alternation_bounds"] = bounds
     results["alternation_chi_lower"] = lb
     chi_fields, chi_flag = _chi_fields(cert)
@@ -396,7 +396,7 @@ def _scan_one(task) -> dict:
         r=r,
         ex=ex_cert.ex_value,
         extremal_edges=extremal,
-        matching_graph_vertices=kg.graph.n,
+        matching_graph_vertices=kg.n,
         alternation_chi_lower=lb,
         certified=bool(cert.exact and ex_cert.exact),
     )

@@ -46,33 +46,53 @@ class ChromaticCertificate:
         return self.bounds[1]
 
 
-def is_proper(g: Graph, coloring: Sequence[int]) -> bool:
+def is_proper(g: Graph | KneserGraph, coloring: Sequence[int]) -> bool:
     """True iff the coloring is total on vertices and no edge is monochromatic."""
     if len(coloring) != g.n or any(c is None or c < 0 for c in coloring):
         raise ValueError("coloring must assign a color to every vertex")
-    return all(coloring[u] != coloring[v] for u, v in g.edges)
-
-
-def greedy_clique(g: Graph) -> tuple[int, ...]:
-    """Deterministic greedy clique, used as an initial chromatic lower bound."""
-    if g.n == 0:
-        return ()
+    classes: dict[int, int] = {}
+    for v, c in enumerate(coloring):
+        classes[c] = classes.get(c, 0) | 1 << v
     masks = g.adj_masks
-    order = sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
-    best: tuple[int, ...] = (order[0],)
-    for start in order:
+    return not any(masks[v] & classes[c] for v, c in enumerate(coloring))
+
+
+def greedy_clique(g: Graph | KneserGraph) -> tuple[int, ...]:
+    """Deterministic greedy clique, used as an initial chromatic lower bound.
+
+    Vertices are ranked by (-degree, index).  From each start vertex the
+    clique grows by the best-ranked vertex adjacent to all members so far;
+    the largest clique, first found on ties, wins.  The masks are relabelled
+    by rank, so the best-ranked common neighbour is the lowest set bit.
+    """
+    n = g.n
+    if n == 0:
+        return ()
+    degrees = g.degrees
+    masks = g.adj_masks
+    order = sorted(range(n), key=lambda v: (-degrees[v], v))
+    # Relabel with string operations, not a loop over edges.  bin(mask | top)
+    # reversed and cut before "1b0" lists bits 0..n-1 of mask.  Row j of the
+    # n x n matrix is vertex order[n-1-j]; by symmetry column v, read as a
+    # binary numeral, has bit p set exactly when order[p] is adjacent to v.
+    top = 1 << n
+    matrix = "".join([bin(masks[v] | top)[:2:-1] for v in reversed(order)])
+    ranked = [int(matrix[v::n], 2) for v in order]
+    best: tuple[int, ...] = (0,)
+    for start, common in enumerate(ranked):
+        if degrees[order[start]] < len(best):
+            break  # no later start has room for a larger clique
         clique = [start]
-        common = masks[start]
-        for v in order:
-            if common >> v & 1:
-                clique.append(v)
-                common &= masks[v]
+        while common:
+            p = (common & -common).bit_length() - 1
+            clique.append(p)
+            common &= ranked[p]
         if len(clique) > len(best):
-            best = tuple(sorted(clique))
-    return best
+            best = tuple(clique)
+    return tuple(sorted(order[p] for p in best))
 
 
-def _greedy_dsatur(g: Graph) -> tuple[int, ...]:
+def _greedy_dsatur(g: Graph | KneserGraph) -> tuple[int, ...]:
     n = g.n
     masks = g.adj_masks
     colors = [-1] * n
@@ -124,8 +144,6 @@ def chromatic_number(
     proper coloring with fewer colors (supplied, greedy or found by the
     search) contradicts it and raises CertificateError.
     """
-    if isinstance(g, KneserGraph):
-        g = g.graph
     n = g.n
     if n == 0:
         return ChromaticCertificate(0, (), ("empty", None), True, (0, 0), 0)
@@ -263,46 +281,6 @@ def coloring_from_extremal(h: Hypergraph, free) -> tuple[int, ...]:
         # The rank of the lowest outside element counts the outside elements below it.
         colors.append((((outside & -outside) - 1) & ~free_mask).bit_count())
     return tuple(colors)
-
-
-def extend_bipartite_matching_coloring(
-    m: int, n: int, r: int, coloring: Sequence[int]
-) -> tuple[int, ...]:
-    """Extend a proper coloring of the r-matching Kneser graph of K_{m,n}
-    (m >= n) to one of K_{m,m}.
-
-    Matchings inside the K_{m,n} copy keep their color; every other
-    matching is colored by the smallest edge it uses among the added ones,
-    shifted past the original palette.  Properness is preserved because
-    same-colored new matchings share an added edge.
-    """
-    from .graphs import make_complete_bipartite
-    from .matching import enumerate_matchings
-
-    if m < n:
-        raise ValueError("expects m >= n")
-    small = make_complete_bipartite(m, n)
-    big = make_complete_bipartite(m, m)
-    small_matchings = enumerate_matchings(small, r)
-    if len(coloring) != len(small_matchings):
-        raise ValueError("coloring size does not match the K_{m,n} matching count")
-    palette = max(coloring, default=-1) + 1
-
-    # Edge (i, m+j) of K_{m,n} has index i*n + j; in K_{m,m} it is i*m + j.
-    old_color = {}
-    for matching, c in zip(small_matchings, coloring):
-        key = tuple(sorted((e // n) * m + (e % n) for e in matching.edges))
-        old_color[key] = c
-
-    out = []
-    for matching in enumerate_matchings(big, r):
-        key = matching.edges
-        if key in old_color:
-            out.append(old_color[key])
-        else:
-            added = min(e for e in key if e % m >= n)
-            out.append(palette + added)
-    return _canonicalize(out)
 
 
 def export_dimacs(g: Graph) -> str:

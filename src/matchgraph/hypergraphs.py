@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, permutations
 
-from .errors import CapacityError, GraphParseError
+from .errors import GraphParseError
 from .graphs import Graph
 from .matching import enumerate_matchings
 
@@ -63,22 +62,55 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class KneserGraph:
-    """A graph on hyperedge indices, adjacency = disjointness, plus provenance."""
+    """General Kneser graph of ``source``: vertex i per hyperedge i, two
+    vertices adjacent exactly when their hyperedges are disjoint.
 
-    graph: Graph
+    Adjacency is held as neighbour bitmasks, the form the colouring solver
+    reads, under the names ``Graph`` uses (``n``, ``adj_masks``,
+    ``degrees``).  ``graph``, the edge list as a :class:`Graph`, is built on
+    first use only.
+    """
+
     source: Hypergraph
+    adj_masks: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.adj_masks)
+
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        return tuple(mask.bit_count() for mask in self.adj_masks)
+
+    @cached_property
+    def graph(self) -> Graph:
+        n = self.n
+        masks = self.adj_masks
+        edges = tuple((i, j) for i in range(n) for j in range(i + 1, n) if masks[i] >> j & 1)
+        return Graph(n, edges)
 
 
 def general_kneser(h: Hypergraph) -> KneserGraph:
-    """General Kneser graph of h: vertex i per hyperedge i, edges = disjoint pairs."""
-    masks = h.masks
-    edges = tuple(
-        (i, j)
-        for i in range(h.k)
-        for j in range(i + 1, h.k)
-        if not masks[i] & masks[j]
-    )
-    return KneserGraph(Graph(h.k, edges), h)
+    """General Kneser graph of h: vertex i per hyperedge i, edges = disjoint pairs.
+
+    ``through[v]`` holds the hyperedges that contain ground element v; the
+    hyperedges meeting hyperedge i are the union of ``through`` over its
+    elements, and its neighbours are all the others.  Every hyperedge meets
+    itself, so the masks are loop-free, and meeting is symmetric.
+    """
+    through = [0] * h.ground_n
+    for i, e in enumerate(h.hyperedges):
+        bit = 1 << i
+        for v in e:
+            through[v] |= bit
+    everyone = (1 << h.k) - 1
+    adj = []
+    for e in h.hyperedges:
+        meets = 0
+        for v in e:
+            meets |= through[v]
+        adj.append(everyone ^ meets)
+    return KneserGraph(h, tuple(adj))
 
 
 def matching_hypergraph(g: Graph, r: int) -> Hypergraph:
@@ -91,59 +123,6 @@ def matching_hypergraph(g: Graph, r: int) -> Hypergraph:
 def matching_graph(g: Graph, r: int) -> KneserGraph:
     """Kneser graph of the r-matchings of g; adjacency = edge-disjointness."""
     return general_kneser(matching_hypergraph(g, r))
-
-
-def f_subgraph_hypergraph(g: Graph, f: Graph, cap: int = 200_000) -> Hypergraph:
-    """Hypergraph of the edge sets of subgraphs of g isomorphic to f.
-
-    Brute force over all |E(f)|-subsets of E(g); raises CapacityError when
-    there are more than ``cap`` candidate subsets.  The pattern f must have
-    no isolated vertices (its edge set determines it).
-    """
-    kf = f.m
-    if kf < 1:
-        raise ValueError("pattern must have at least one edge")
-    if any(d == 0 for d in f.degrees):
-        raise ValueError("pattern must have no isolated vertices")
-    total = 1
-    for i in range(kf):
-        total = total * (g.m - i) // (i + 1)
-    if total > cap:
-        raise CapacityError(f"{total} candidate edge subsets exceed cap {cap}")
-    hyperedges = []
-    for subset in combinations(range(g.m), kf):
-        if _edge_subset_isomorphic(g, subset, f):
-            hyperedges.append(tuple(subset))
-    return Hypergraph(g.m, tuple(hyperedges))
-
-
-def _edge_subset_isomorphic(g: Graph, subset: tuple[int, ...], f: Graph) -> bool:
-    """Is the subgraph spanned by these edges of g isomorphic to f?"""
-    vertices = sorted({v for e in subset for v in g.edges[e]})
-    if len(vertices) != sum(1 for d in f.degrees if d > 0):
-        return False
-    pairs = {g.edges[e] for e in subset}
-    degs = {}
-    for u, v in pairs:
-        degs[u] = degs.get(u, 0) + 1
-        degs[v] = degs.get(v, 0) + 1
-    f_vertices = [v for v in range(f.n) if f.degrees[v] > 0]
-    if sorted(degs[v] for v in vertices) != sorted(f.degrees[v] for v in f_vertices):
-        return False
-    f_pairs = {(u, v) for u, v in f.edges}
-    for perm in permutations(vertices):
-        mapping = dict(zip(f_vertices, perm))
-        ok = True
-        for u, v in f_pairs:
-            a, b = mapping[u], mapping[v]
-            if a > b:
-                a, b = b, a
-            if (a, b) not in pairs:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,17 @@ def brute_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
     return out
 
 
+def brute_kneser_edges(h) -> list[tuple[int, int]]:
+    """Edges of the general Kneser graph of h by a disjointness test on
+    every pair of hyperedges, in lexicographic order."""
+    sets = [set(e) for e in h.hyperedges]
+    return [
+        (i, j)
+        for i, j in combinations(range(len(sets)), 2)
+        if not sets[i] & sets[j]
+    ]
+
+
 def exhaustive_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
     """min over all 2^n sets S of |V| - o(G-S) + |S|, and the minimizer
     with the numerically smallest bitmask."""
@@ -206,6 +217,32 @@ def k_colorable(g: Graph, k: int) -> bool:
         return False
 
     return place(0)
+
+
+def greedy_clique_by_scan(g: Graph) -> tuple[int, ...]:
+    """The greedy clique by its definition: from each start in (-degree,
+    index) order, scan that order and keep each vertex adjacent to all
+    members so far; the first largest clique wins.  O(n^2) per graph."""
+    if g.n == 0:
+        return ()
+    masks = g.adj_masks
+    order = sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
+    best: tuple[int, ...] = (order[0],)
+    for start in order:
+        clique = [start]
+        common = masks[start]
+        for v in order:
+            if common >> v & 1:
+                clique.append(v)
+                common &= masks[v]
+        if len(clique) > len(best):
+            best = tuple(sorted(clique))
+    return best
+
+
+def proper_by_edges(g: Graph, coloring) -> bool:
+    """No edge of g has both ends in one colour."""
+    return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
 def chromatic_by_backtracking(g: Graph) -> int:

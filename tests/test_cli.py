@@ -279,6 +279,45 @@ def test_one_kneser_build_per_instance(tmp_path, monkeypatch):
     assert len(built) == report["results"]["graphs_scanned"] == 31
 
 
+def test_cli_never_builds_kneser_edge_view(tmp_path, monkeypatch):
+    # the solver reads the Kneser graph's neighbour masks; no edge pairs and
+    # no Graph of Kneser vertices may be built on a CLI path
+    import matchgraph.hypergraphs as hypergraphs
+
+    built, edge_graphs = [], []
+    real = hypergraphs.general_kneser
+    monkeypatch.setattr(hypergraphs, "general_kneser",
+                        lambda h: built.append(real(h)) or built[-1])
+    monkeypatch.setattr(hypergraphs, "Graph", lambda *args: edge_graphs.append(args))
+    path = tmp_path / "k43.txt"
+    path.write_text(format_graph(make_complete_bipartite(4, 3)), encoding="ascii")
+    assert cmd_analyze(str(path), 2)["results"]["chi"] == 8
+    assert cmd_scan(5, 2)["results"]["graphs_scanned"] == 31
+    assert len(built) == 32
+    assert edge_graphs == []
+    assert not any("graph" in vars(kg) for kg in built)
+
+
+def test_cmd_analyze_search_path_pinned(tmp_path, monkeypatch):
+    # host030 of the analyze-r2 benchmark: KG(G, 2K2) has 150 vertices and
+    # DSATUR stops at its node budget with the interval [15, 16].  The path
+    # is part of the hashed inputs, so it is relative to a fixed name.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "host030.txt"
+    path.write_text(
+        "12 21\n0 1\n0 3\n0 6\n0 11\n1 7\n2 6\n2 8\n2 10\n3 7\n3 8\n4 5\n"
+        "4 6\n4 8\n5 6\n5 10\n5 11\n7 8\n7 10\n7 11\n9 11\n10 11\n",
+        encoding="ascii",
+    )
+    report = cmd_analyze("host030.txt", 2, ordering="euler", node_budget=2000)
+    res = report["results"]
+    assert (res["n"], res["m"], res["matching_graph_vertices"]) == (12, 21, 150)
+    assert res["chi_interval"] == [15, 16] and res["search_nodes"] == 2001
+    assert report["determinism_sha256"] == (
+        "43b62481154188164fc8763afa5a423e248b44531d40ab4d7e7e9407e0087ad0"
+    )
+
+
 def test_main_exit_codes(tmp_path, capsys):
     path = tmp_path / "c5.txt"
     from matchgraph import make_cycle

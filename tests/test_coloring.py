@@ -9,7 +9,6 @@ from matchgraph import (
     chromatic_number,
     coloring_from_extremal,
     export_dimacs,
-    extend_bipartite_matching_coloring,
     general_kneser,
     greedy_clique,
     is_proper,
@@ -22,7 +21,13 @@ from matchgraph import (
     turan_matchings,
 )
 
-from tests.oracles import chromatic_by_backtracking, random_graph, random_hypergraph
+from tests.oracles import (
+    chromatic_by_backtracking,
+    greedy_clique_by_scan,
+    proper_by_edges,
+    random_graph,
+    random_hypergraph,
+)
 
 
 def test_chromatic_examples():
@@ -112,6 +117,42 @@ def test_greedy_clique_is_clique():
         )
 
 
+def test_greedy_clique_matches_scan_oracle():
+    rng = random.Random(31)
+    graphs = [Graph(0, ()), Graph(1, ()), Graph(4, ())]
+    graphs += [random_graph(rng, rng.randint(1, 24), rng.random()) for _ in range(200)]
+    hosts = [make_cycle(7), make_complete(6), make_complete_bipartite(4, 3)]
+    hosts += [random_graph(rng, rng.randint(4, 8), 0.5) for _ in range(30)]
+    for host in hosts:
+        for r in (1, 2, 3):
+            kg = matching_graph(host, r)
+            graphs.append(kg.graph)
+            assert greedy_clique(kg) == greedy_clique_by_scan(kg.graph)
+    for g in graphs:
+        assert greedy_clique(g) == greedy_clique_by_scan(g)
+
+
+def test_is_proper_matches_edge_definition():
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        if rng.random() < 0.5:
+            coloring = chromatic_number(g).coloring
+            if rng.random() < 0.5 and g.m:  # merge the colours of one edge's ends
+                u, v = g.edges[rng.randrange(g.m)]
+                coloring = tuple(coloring[u] if c == coloring[v] else c for c in coloring)
+        else:
+            coloring = tuple(rng.randrange(rng.randint(1, g.n)) for _ in range(g.n))
+        expected = proper_by_edges(g, coloring)
+        seen.add(expected)
+        assert is_proper(g, coloring) == expected
+    kg = matching_graph(make_complete_bipartite(4, 3), 2)
+    coloring = chromatic_number(kg).coloring
+    assert is_proper(kg, coloring) and proper_by_edges(kg.graph, coloring)
+    assert seen == {True, False}
+
+
 def test_coloring_from_extremal_cycle():
     kg = matching_graph(make_cycle(5), 2)
     col = coloring_from_extremal(kg.source, {0, 1})
@@ -183,16 +224,6 @@ def test_chi_at_most_edges_minus_ex():
         assert chi <= g.m - ex.ex_value
         col = coloring_from_extremal(kg.source, ex.extremal_edges)
         assert is_proper(kg.graph, col)
-
-
-def test_extend_bipartite_matching_coloring():
-    for (m, n, r) in [(3, 2, 2), (4, 3, 2), (3, 3, 2)]:
-        small = make_complete_bipartite(m, n)
-        cert = chromatic_number(matching_graph(small, r))
-        extended = extend_bipartite_matching_coloring(m, n, r, cert.coloring)
-        big_kg = matching_graph(make_complete_bipartite(m, m), r).graph
-        assert is_proper(big_kg, extended)
-        assert len(set(extended)) <= cert.chi + (m - n) * m
 
 
 def test_export_dimacs():

@@ -5,26 +5,22 @@ from itertools import combinations
 import pytest
 
 from matchgraph import (
-    CapacityError,
     Graph,
     GraphParseError,
     Hypergraph,
-    f_subgraph_hypergraph,
     format_hypergraph,
     general_kneser,
     is_connected,
-    make_complete,
     make_complete_bipartite,
     make_cycle,
     make_disjoint_matching,
-    make_path,
     matching_graph,
     matching_hypergraph,
     odd_girth,
     parse_hypergraph,
 )
 
-from tests.oracles import random_graph
+from tests.oracles import brute_kneser_edges, random_graph, random_hypergraph
 
 
 def test_hypergraph_invariants():
@@ -50,6 +46,34 @@ def test_general_kneser_examples():
     assert pet.n == 10 and pet.m == 15
     assert set(pet.degrees) == {3}
     assert odd_girth(pet) == 5
+
+
+def test_general_kneser_matches_pairwise_disjointness():
+    rng = random.Random(23)
+    cases = [
+        Hypergraph(0, ()),
+        Hypergraph(3, ()),
+        Hypergraph(1, ((0,),)),
+        Hypergraph(4, ((1, 3),)),
+        Hypergraph(3, ((0,), (1,), (2,))),
+        Hypergraph(4, ((2,), (0, 1, 2, 3))),
+    ]
+    cases += [random_hypergraph(rng, 9, 14) for _ in range(200)]
+    cases += [matching_hypergraph(random_graph(rng, 6, 0.6), rng.randint(1, 3)) for _ in range(30)]
+    for h in cases:
+        edges = brute_kneser_edges(h)
+        masks = [0] * h.k
+        for i, j in edges:
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        kg = general_kneser(h)
+        assert kg.n == h.k
+        assert kg.adj_masks == tuple(masks)
+        assert kg.degrees == tuple(m.bit_count() for m in masks)
+        assert kg.graph.edges == tuple(edges)
+    sizes = [h.k for h in cases]
+    assert 0 in sizes and 1 in sizes
+    assert any(len(e) == 1 for h in cases[6:] for e in h.hyperedges)
 
 
 def test_matching_hypergraph_examples():
@@ -101,32 +125,6 @@ def test_kneser_restriction_gives_induced_subgraph():
             if u in keep and v in keep
         }
         assert set(small.edges) == expected
-
-
-def test_f_subgraph_examples():
-    tri = make_complete(3)
-    h = f_subgraph_hypergraph(make_complete(4), tri)
-    assert h.k == 4 and all(len(e) == 3 for e in h.hyperedges)
-
-    assert f_subgraph_hypergraph(make_cycle(5), make_path(3)).k == 5
-    assert f_subgraph_hypergraph(make_cycle(4), make_cycle(4)).k == 1
-
-
-def test_f_subgraph_matches_matching_hypergraph_for_rk2():
-    rng = random.Random(55)
-    for _ in range(15):
-        g = random_graph(rng, 6, 0.5)
-        for r in (1, 2):
-            pattern = make_disjoint_matching(r)
-            assert (
-                f_subgraph_hypergraph(g, pattern).hyperedges
-                == matching_hypergraph(g, r).hyperedges
-            )
-
-
-def test_f_subgraph_cap():
-    with pytest.raises(CapacityError):
-        f_subgraph_hypergraph(make_complete(8), make_cycle(4), cap=10)
 
 
 def test_hypergraph_text_round_trip():
