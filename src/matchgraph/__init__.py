@@ -62,11 +62,9 @@ from .graphs import (
 from .hypergraphs import (
     Hypergraph,
     KneserGraph,
-    format_hypergraph,
     general_kneser,
     matching_graph,
     matching_hypergraph,
-    parse_hypergraph,
 )
 from .matching import (
     Matching,

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from multiprocessing import Pool
 
 from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_sigma, ex_salt_sigma
 from .coloring import chromatic_number, coloring_from_extremal, export_dimacs
@@ -433,6 +432,9 @@ def cmd_scan(
         (g.n, g.edges, r, node_budget) for g in connected_graphs_up_to(max_n)
     ]
     if jobs > 1:
+        # Imported here: a one-process scan or analyze never pays for it.
+        from multiprocessing import Pool
+
         with Pool(min(jobs, os.cpu_count() or 1)) as pool:
             records = pool.map(_scan_one, tasks)
     else:

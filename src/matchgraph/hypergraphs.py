@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import GraphParseError
 from .graphs import Graph
 from .matching import enumerate_matchings
 
@@ -124,43 +123,3 @@ def matching_graph(g: Graph, r: int) -> KneserGraph:
     """Kneser graph of the r-matchings of g; adjacency = edge-disjointness."""
     return general_kneser(matching_hypergraph(g, r))
 
-
-# ---------------------------------------------------------------------------
-# Text format: line 1 "n k"; then k lines of space-separated ascending
-# vertex indices.
-# ---------------------------------------------------------------------------
-
-def format_hypergraph(h: Hypergraph) -> str:
-    lines = [f"{h.ground_n} {h.k}\n"]
-    lines.extend(" ".join(str(v) for v in e) + "\n" for e in h.hyperedges)
-    return "".join(lines)
-
-
-def parse_hypergraph(text: str) -> Hypergraph:
-    header = None
-    hyperedges: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if raw.startswith("#"):
-            continue
-        parts = raw.split(" ")
-        try:
-            values = [int(p) for p in parts]
-        except ValueError:
-            raise GraphParseError(f"non-integer field in {raw!r}", lineno) from None
-        if header is None:
-            if len(values) != 2:
-                raise GraphParseError("header must be 'n k'", lineno)
-            header = tuple(values)
-        else:
-            if values != sorted(values):
-                raise GraphParseError("hyperedge not in ascending order", lineno)
-            hyperedges.append(tuple(values))
-    if header is None:
-        raise GraphParseError("missing 'n k' header", 1)
-    n, k = header
-    if len(hyperedges) != k:
-        raise GraphParseError(f"header announced {k} hyperedges, found {len(hyperedges)}", 1)
-    try:
-        return Hypergraph(n, tuple(hyperedges))
-    except ValueError as exc:
-        raise GraphParseError(str(exc), 1) from None

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -125,6 +126,17 @@ def test_cli_import_leaves_numpy_out():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    # in a fresh interpreter: cmd_scan imports it only for jobs > 1
+    code = "import sys, matchgraph.cli; print('multiprocessing' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(matchgraph.cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_cmd_scan_pool_bounded_by_cpu_count(monkeypatch):
     requested = []
 
@@ -141,7 +153,7 @@ def test_cmd_scan_pool_bounded_by_cpu_count(monkeypatch):
         def map(self, fn, tasks):
             return [fn(t) for t in tasks]
 
-    monkeypatch.setattr(matchgraph.cli, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     report = cmd_scan(3, 2, jobs=10_000)
     assert requested == [min(10_000, os.cpu_count() or 1)]
     assert report["results"]["graphs_scanned"] == 4

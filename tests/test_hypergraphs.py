@@ -6,9 +6,7 @@ import pytest
 
 from matchgraph import (
     Graph,
-    GraphParseError,
     Hypergraph,
-    format_hypergraph,
     general_kneser,
     is_connected,
     make_complete_bipartite,
@@ -17,7 +15,6 @@ from matchgraph import (
     matching_graph,
     matching_hypergraph,
     odd_girth,
-    parse_hypergraph,
 )
 
 from tests.oracles import brute_kneser_edges, random_graph, random_hypergraph
@@ -126,13 +123,3 @@ def test_kneser_restriction_gives_induced_subgraph():
         }
         assert set(small.edges) == expected
 
-
-def test_hypergraph_text_round_trip():
-    h = matching_hypergraph(make_cycle(5), 2)
-    text = format_hypergraph(h)
-    assert text.splitlines()[0] == "5 5"
-    assert parse_hypergraph(text) == h
-    with pytest.raises(GraphParseError):
-        parse_hypergraph("2 1\n1 0\n")  # not ascending
-    with pytest.raises(GraphParseError):
-        parse_hypergraph("2 2\n0 1\n")
