@@ -10,15 +10,12 @@ for reproduction tables and a small-graph conjecture scanner.
 
 from .alternation import (
     EdgeOrdering,
-    OrderingMinimum,
     alt,
-    alt_min,
     alt_sigma,
     chi_lower_bounds,
     ex_alt_sigma,
     ex_salt_sigma,
     matching_chi_lower_bound,
-    salt_min,
     salt_sigma,
 )
 from .coloring import (
@@ -57,7 +54,6 @@ from .graphs import (
     odd_girth,
     parse_graph,
     read_graph,
-    write_graph,
 )
 from .hypergraphs import (
     Hypergraph,
@@ -84,6 +80,6 @@ from .orderings import (
     star_formula_conditions,
     verify_locally_eulerian,
 )
-from .turan import TuranCertificate, is_f_free, star_lower_bound, turan_matchings
+from .turan import TuranCertificate, star_lower_bound, turan_matchings
 
 __version__ = "0.1.0"

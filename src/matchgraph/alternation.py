@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 from .errors import CapacityError
@@ -74,19 +73,22 @@ def alt(x: Sequence[int]) -> int:
 # Hypergraph-side engine: branch and bound over sign vectors in sigma order.
 # ---------------------------------------------------------------------------
 
+# The sign search visits up to 3^n vectors over a ground set of size n.
+SIGN_SEARCH_CAP = 18
+
+
 def _check_ordering(h: Hypergraph, sigma: EdgeOrdering):
     if len(sigma) != h.ground_n:
         raise ValueError("ordering length does not match ground set size")
 
 
-def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool, cap: int,
-                 stop_at: int | None = None) -> int:
+def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool) -> int:
     """Max alt(X) with at most zero (strong=False) or one (strong=True) of the
     supports containing a hyperedge."""
     _check_ordering(h, sigma)
     n = h.ground_n
-    if n > cap:
-        raise CapacityError(f"ground set of size {n} exceeds search cap {cap}")
+    if n > SIGN_SEARCH_CAP:
+        raise CapacityError(f"ground set of size {n} exceeds search cap {SIGN_SEARCH_CAP}")
     masks = h.masks
     through = h.masks_through
     order = sigma.perm
@@ -104,8 +106,6 @@ def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool, cap: int,
         if count > best:
             best = count
         if pos == n or count + (n - pos) <= best:
-            return
-        if stop_at is not None and best >= stop_at:
             return
         elem = order[pos]
         bit = 1 << elem
@@ -129,82 +129,14 @@ def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool, cap: int,
     return best
 
 
-def alt_sigma(h: Hypergraph, sigma: EdgeOrdering, cap: int = 18) -> int:
+def alt_sigma(h: Hypergraph, sigma: EdgeOrdering) -> int:
     """Largest alt(X) with neither support containing any hyperedge."""
-    return _sign_search(h, sigma, strong=False, cap=cap)
+    return _sign_search(h, sigma, strong=False)
 
 
-def salt_sigma(h: Hypergraph, sigma: EdgeOrdering, cap: int = 18) -> int:
+def salt_sigma(h: Hypergraph, sigma: EdgeOrdering) -> int:
     """Largest alt(X) with at most one support containing some hyperedge."""
-    return _sign_search(h, sigma, strong=True, cap=cap)
-
-
-@dataclass(frozen=True)
-class OrderingMinimum:
-    value: int
-    ordering: EdgeOrdering
-    certified: bool
-
-
-def _minimize(h: Hypergraph, strong: bool, cap: int, heuristic: bool,
-              restarts: int, seed: int) -> OrderingMinimum:
-    n = h.ground_n
-    if not heuristic:
-        if n > cap:
-            raise CapacityError(
-                f"certified minimization over {n}! orderings exceeds cap {cap};"
-                " pass heuristic=True for an upper bound"
-            )
-        best_val = None
-        best_sigma = None
-        for perm in permutations(range(n)):
-            sigma = EdgeOrdering(perm)
-            val = _sign_search(h, sigma, strong, cap=max(cap, n), stop_at=best_val)
-            if best_val is None or val < best_val:
-                best_val, best_sigma = val, sigma
-                if best_val == 0:
-                    break
-        return OrderingMinimum(best_val, best_sigma, True)
-
-    import random
-
-    rng = random.Random(seed)
-    evaluate = salt_sigma if strong else alt_sigma
-    best_sigma = EdgeOrdering.identity(n)
-    best_val = evaluate(h, best_sigma, cap=max(cap, n))
-    for _ in range(restarts):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        current = perm
-        current_val = evaluate(h, EdgeOrdering(tuple(current)), cap=max(cap, n))
-        improved = True
-        while improved:
-            improved = False
-            for i in range(n - 1):
-                trial = list(current)
-                trial[i], trial[i + 1] = trial[i + 1], trial[i]
-                val = evaluate(h, EdgeOrdering(tuple(trial)), cap=max(cap, n))
-                if val < current_val:
-                    current, current_val = trial, val
-                    improved = True
-        if current_val < best_val:
-            best_val = current_val
-            best_sigma = EdgeOrdering(tuple(current))
-    return OrderingMinimum(best_val, best_sigma, False)
-
-
-def alt_min(h: Hypergraph, cap: int = 8, heuristic: bool = False,
-            restarts: int = 8, seed: int = 0) -> OrderingMinimum:
-    """min over orderings of alt_sigma; factorial search unless heuristic."""
-    return _minimize(h, strong=False, cap=cap, heuristic=heuristic,
-                     restarts=restarts, seed=seed)
-
-
-def salt_min(h: Hypergraph, cap: int = 8, heuristic: bool = False,
-             restarts: int = 8, seed: int = 0) -> OrderingMinimum:
-    """min over orderings of salt_sigma; factorial search unless heuristic."""
-    return _minimize(h, strong=True, cap=cap, heuristic=heuristic,
-                     restarts=restarts, seed=seed)
+    return _sign_search(h, sigma, strong=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +231,7 @@ def ex_salt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
 # Chromatic lower bounds.
 # ---------------------------------------------------------------------------
 
-def chi_lower_bounds(h: Hypergraph, sigma: EdgeOrdering, cap: int = 18) -> tuple[int, int]:
+def chi_lower_bounds(h: Hypergraph, sigma: EdgeOrdering) -> tuple[int, int]:
     """(|ground| - alt_sigma, |ground| + 1 - salt_sigma): both are lower
     bounds on chi(KG(h)).
 
@@ -309,7 +241,7 @@ def chi_lower_bounds(h: Hypergraph, sigma: EdgeOrdering, cap: int = 18) -> tuple
     if h.k == 0:
         return (0, 0)
     n = h.ground_n
-    return (n - alt_sigma(h, sigma, cap=cap), n + 1 - salt_sigma(h, sigma, cap=cap))
+    return (n - alt_sigma(h, sigma), n + 1 - salt_sigma(h, sigma))
 
 
 def alternation_chi_lower(m: int, ex_alt: int, ex_salt: int) -> int:

@@ -117,35 +117,13 @@ def _print_table(report: dict) -> None:
 
 def _resolve_ordering(g: Graph, choice: str) -> EdgeOrdering:
     if choice == "euler":
-        return _euler_componentwise(g)
+        return euler_ordering(g)
     if choice == "identity":
         return EdgeOrdering.identity(g.m)
     if choice.startswith("file:"):
         with open(choice[5:], "r", encoding="ascii") as fh:
             return EdgeOrdering.from_line(fh.read())
     raise ValueError(f"unknown ordering choice {choice!r}")
-
-
-def _euler_componentwise(g: Graph) -> EdgeOrdering:
-    """Euler ordering, concatenated per component for disconnected inputs."""
-    if is_connected(g):
-        return euler_ordering(g)
-    from .graphs import component_masks
-
-    order: list[int] = []
-    for comp in component_masks(g):
-        vertices = [v for v in range(g.n) if comp >> v & 1]
-        relabel = {v: i for i, v in enumerate(vertices)}
-        eids = []
-        sub_edges = []
-        for eid, (u, v) in enumerate(g.edges):
-            if comp >> u & 1:
-                eids.append(eid)
-                sub_edges.append((relabel[u], relabel[v]))
-        sub = Graph(len(vertices), tuple(sub_edges))
-        sigma = euler_ordering(sub)
-        order.extend(eids[p] for p in sigma.perm)
-    return EdgeOrdering(tuple(order))
 
 
 def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):

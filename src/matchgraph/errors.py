@@ -21,7 +21,7 @@ class CertificateError(ValueError):
 
 
 class GraphParseError(ValueError):
-    """Malformed graph/hypergraph text input; ``line`` is 1-based."""
+    """Malformed graph text input; ``line`` is 1-based."""
 
     def __init__(self, message, line):
         super().__init__(f"line {line}: {message}")

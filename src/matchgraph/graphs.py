@@ -179,22 +179,6 @@ def _has_inner_edge(g: Graph, vertices: int) -> bool:
     return any(g.adj_masks[v] & vertices for v in range(g.n) if vertices >> v & 1)
 
 
-def bipartition(g: Graph) -> tuple[int, int] | None:
-    """Two-coloring by BFS levels; returns the side masks, or None if not bipartite.
-
-    Each component's lowest vertex is on side 0.  An edge inside a BFS level
-    closes an odd walk; without one, even and odd levels are the two sides.
-    """
-    side0 = 0
-    for comp in component_masks(g):
-        for depth, level in enumerate(_bfs_levels(g, comp & -comp, comp)):
-            if _has_inner_edge(g, level):
-                return None
-            if depth % 2 == 0:
-                side0 |= level
-    return side0, ((1 << g.n) - 1) ^ side0
-
-
 def odd_girth(g: Graph) -> int | float:
     """Length of a shortest odd cycle; INFINITE when the graph is bipartite.
 
@@ -221,7 +205,6 @@ class DegreeOrder:
     """Vertex permutation sorted by non-increasing degree in its host graph."""
 
     perm: tuple[int, ...]
-    tie_policy: str
 
     def __post_init__(self):
         if sorted(self.perm) != list(range(len(self.perm))):
@@ -238,12 +221,12 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
     """
     base = sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
     if require_independent_prefix is None:
-        return DegreeOrder(tuple(base), "ascending-index")
+        return DegreeOrder(tuple(base))
     k = require_independent_prefix
     if k < 0 or k > g.n:
         return None
     if k <= 1:
-        return DegreeOrder(tuple(base), f"independent-prefix({k})")
+        return DegreeOrder(tuple(base))
 
     # Split into maximal equal-degree classes, in order.
     classes: list[list[int]] = []
@@ -284,7 +267,7 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
         boundary += 1
     for cls in classes[boundary:]:
         rest.extend(cls)
-    return DegreeOrder(tuple(prefix + rest), f"independent-prefix({k})")
+    return DegreeOrder(tuple(prefix + rest))
 
 
 def _pairwise_independent(g: Graph, vertices: Sequence[int]) -> bool:
@@ -331,8 +314,9 @@ def _independent_extension(g: Graph, fixed: list[int], cls: list[int], need: int
 class MultiGraphView:
     """A base graph plus extra edges that may duplicate base pairs.
 
-    Used only for Eulerian auxiliary constructions (apex vertices, doubled
-    edges).  Edge ids: base edge i keeps id i; extra edge j has id
+    Used for the Eulerian auxiliary constructions: the per-component
+    auxiliary vertices of the Euler ordering, and the apex vertex with its
+    doubled edges.  Edge ids: base edge i keeps id i; extra edge j has id
     ``base.m + j``.  ``n`` may exceed ``base.n`` so extra edges can attach
     to auxiliary vertices.
     """
@@ -480,11 +464,6 @@ def parse_graph(text: str) -> Graph:
         return Graph(n, tuple(edges))
     except ValueError as exc:
         raise GraphParseError(str(exc), 1) from None
-
-
-def write_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write(format_graph(g))
 
 
 def read_graph(path) -> Graph:

@@ -46,8 +46,8 @@ class TutteBergeWitness:
 # Maximum matching (augmenting paths with blossom contraction).
 # ---------------------------------------------------------------------------
 
-def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], stop_at: int | None = None):
-    """Match array of a maximum matching; stops early once size stop_at is hit."""
+def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], enough: int | None = None):
+    """Match array of a maximum matching; stops early once the matching has `enough` edges."""
     match = [-1] * n
     size = 0
     for v in range(n):  # cheap greedy seed
@@ -58,7 +58,7 @@ def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], stop_at: int | Non
                     match[w] = v
                     size += 1
                     break
-    if stop_at is not None and size >= stop_at:
+    if enough is not None and size >= enough:
         return match, size
 
     p = [-1] * n
@@ -125,7 +125,7 @@ def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], stop_at: int | Non
         return False
 
     for v in range(n):
-        if stop_at is not None and size >= stop_at:
+        if enough is not None and size >= enough:
             break
         if match[v] == -1 and find_path(v):
             size += 1
@@ -177,7 +177,7 @@ def edge_subset_has_r_matching(g: Graph, edge_ids: Iterable[int], r: int) -> boo
         u, v = g.edges[e]
         adj[relabel[u]].append(relabel[v])
         adj[relabel[v]].append(relabel[u])
-    _, size = _augmenting_matcher(len(vertices), adj, stop_at=r)
+    _, size = _augmenting_matcher(len(vertices), adj, enough=r)
     return size >= r
 
 
@@ -200,7 +200,7 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
     missable = neighbours = 0  # D and the neighbours of D, as bitmasks
     for v in range(n):
         without_v = [() if u == v else [w for w in a if w != v] for u, a in enumerate(adj)]
-        if _augmenting_matcher(n, without_v, stop_at=nu)[1] == nu:
+        if _augmenting_matcher(n, without_v, enough=nu)[1] == nu:
             missable |= 1 << v
             neighbours |= g.adj_masks[v]
     s = frozenset(v for v in range(n) if (neighbours & ~missable) >> v & 1)

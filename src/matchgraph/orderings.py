@@ -1,13 +1,13 @@
 """Constructive edge orderings and the certificates that power them.
 
-Two ordering constructions are provided.  ``euler_ordering`` tours the
-graph (after attaching an auxiliary vertex to the odd-degree vertices when
-needed) and lists the edges in tour order; along such an ordering no color
-of an alternating coloring can meet more than half of the edges at any
-non-start vertex, which is what makes the top-degree chromatic formula
-work on sparse graphs.  ``apex_ordering`` builds the staged tour through
-an apex vertex with doubled edges, guided by a locally-Eulerian
-certificate; it is the dense-graph counterpart.
+Two ordering constructions are provided.  ``euler_ordering`` tours each
+component of the graph in turn (after attaching an auxiliary vertex to the
+component's odd-degree vertices when needed) and lists the edges in tour
+order; along such an ordering no color of an alternating coloring can meet
+more than half of the edges at any non-start vertex, which is what makes
+the top-degree chromatic formula work on sparse graphs.  ``apex_ordering``
+builds the staged tour through an apex vertex with doubled edges, guided
+by a locally-Eulerian certificate; it is the dense-graph counterpart.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .alternation import EdgeOrdering
-from .errors import CertificateError, NotEulerianError
+from .errors import CertificateError
 from .graphs import (
     DegreeOrder,
     Graph,
@@ -84,25 +84,35 @@ def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
 
 
 def euler_ordering(g: Graph) -> EdgeOrdering:
-    """Edge ordering from a deterministic Eulerian tour.
+    """Edge ordering from deterministic Eulerian tours of the components.
 
-    If the graph has odd-degree vertices, an auxiliary vertex joined to each
-    of them is added and the tour starts there; otherwise the tour starts at
-    the last vertex of the degree order.  The tour is then projected onto
-    the graph's own edges in traversal order.
+    The components are toured in order of their lowest vertex.  A component
+    with odd-degree vertices gets an auxiliary vertex of its own, joined to
+    each of them, and its tour starts there; otherwise the tour starts at
+    the component's last vertex in the degree order.  Auxiliary vertices
+    are labelled above every vertex of g, so each component is toured as it
+    would be on its own.  The tours are projected onto the graph's own
+    edges in traversal order.
     """
-    if not is_connected(g):
-        raise NotEulerianError("graph is not connected")
-    if g.m == 0:
-        return EdgeOrdering(())
-    odd = [v for v in range(g.n) if g.degrees[v] % 2 == 1]
-    if odd:
-        view = MultiGraphView(g, tuple((v, g.n) for v in odd), n=g.n + 1)
-        tour = eulerian_tour(view, g.n)
-    else:
-        start = degree_order(g).perm[-1]
-        tour = eulerian_tour(g, start)
-    return EdgeOrdering(tuple(e for e in tour if e < g.m))
+    extra: list[tuple[int, int]] = []
+    tours: list[tuple[int, int]] = []  # (component mask, start vertex)
+    aux = g.n
+    for comp in component_masks(g):
+        members = [v for v in range(g.n) if comp >> v & 1]
+        odd = [v for v in members if g.degrees[v] % 2 == 1]
+        if odd:
+            extra.extend((v, aux) for v in odd)
+            tours.append((comp, aux))
+            aux += 1
+        else:
+            tours.append((comp, max(members, key=lambda v: (-g.degrees[v], v))))
+    view = MultiGraphView(g, tuple(extra), n=aux)
+    ends = [u for u, _ in g.edges] + [v for v, _ in extra]
+    order: list[int] = []
+    for comp, start in tours:
+        ids = [e for e, u in enumerate(ends) if comp >> u & 1]
+        order.extend(e for e in eulerian_tour(view, start, edge_ids=ids) if e < g.m)
+    return EdgeOrdering(tuple(order))
 
 
 # ---------------------------------------------------------------------------

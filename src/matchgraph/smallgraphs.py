@@ -131,12 +131,6 @@ def _next_order(smaller: list[Graph], n: int) -> list[Graph]:
     ]
 
 
-def connected_graphs_exactly(n: int) -> list[Graph]:
-    """Canonical representatives of all connected graphs on exactly n vertices,
-    ordered by edge count then canonical form."""
-    return [g for g in connected_graphs_up_to(n) if g.n == n]
-
-
 def connected_graphs_up_to(max_n: int) -> Iterator[Graph]:
     """Connected graphs up to isomorphism with 1..max_n vertices, in
     (vertex count, edge count, canonical form) order."""

@@ -32,14 +32,6 @@ class TuranCertificate:
     bounds: tuple[int, int] | None = None
 
 
-def is_f_free(edges, g: Graph, r: int) -> bool:
-    """True iff the spanning subgraph on `edges` has matching number < r."""
-    ids = list(edges)
-    if any(not 0 <= e < g.m for e in ids):
-        raise ValueError("edge index out of range")
-    return not edge_subset_has_r_matching(g, ids, r)
-
-
 def star_lower_bound(g: Graph, r: int) -> tuple[int, frozenset[int]]:
     """Best rK2-free edge set of the form 'all edges meeting r-1 chosen vertices'.
 

@@ -211,6 +211,28 @@ def tour_is_valid(view, tour, start, edge_ids=None) -> bool:
     return here == start
 
 
+def euler_by_components(g: Graph):
+    """Euler ordering built one component at a time: each component with an
+    edge is relabelled to a connected graph of its own, ordered by
+    ``euler_ordering`` there, and the orderings are mapped back and joined
+    in order of the components' lowest vertices."""
+    from matchgraph import EdgeOrdering, euler_ordering
+    from matchgraph.graphs import component_masks
+
+    order: list[int] = []
+    for comp in component_masks(g):
+        vertices = [v for v in range(g.n) if comp >> v & 1]
+        relabel = {v: i for i, v in enumerate(vertices)}
+        eids, edges = [], []
+        for e, (u, v) in enumerate(g.edges):
+            if comp >> u & 1:
+                eids.append(e)
+                edges.append((relabel[u], relabel[v]))
+        piece = Graph(len(vertices), tuple(edges))
+        order.extend(eids[p] for p in euler_ordering(piece).perm)
+    return EdgeOrdering(tuple(order))
+
+
 # ---------------------------------------------------------------------------
 # Coloring.
 # ---------------------------------------------------------------------------

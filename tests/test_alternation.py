@@ -8,7 +8,6 @@ from matchgraph import (
     Graph,
     Hypergraph,
     alt,
-    alt_min,
     alt_sigma,
     chi_lower_bounds,
     chromatic_number,
@@ -21,7 +20,6 @@ from matchgraph import (
     make_cycle,
     matching_chi_lower_bound,
     matching_hypergraph,
-    salt_min,
     salt_sigma,
     turan_matchings,
 )
@@ -104,42 +102,12 @@ def test_capacity_errors():
     h = Hypergraph(19, ())
     with pytest.raises(CapacityError):
         alt_sigma(h, EdgeOrdering.identity(19))
-    with pytest.raises(CapacityError):
-        alt_min(Hypergraph(9, ()))
     # the graph-side engines have no edge cap, only a node budget
     c6 = make_cycle(6)
     with pytest.raises(CapacityError):
         ex_alt_sigma(c6, 2, EdgeOrdering.identity(6), node_budget=5)
     with pytest.raises(CapacityError):
         ex_salt_sigma(c6, 2, EdgeOrdering.identity(6), node_budget=5)
-
-
-def test_alt_min_examples():
-    free = Hypergraph(4, ())
-    res = alt_min(free)
-    assert res.value == 4 and res.certified
-    # single hyperedge {0,1}: a +- vector splits it across the supports,
-    # so both orderings still allow a fully alternating vector
-    res = alt_min(Hypergraph(2, ((0, 1),)))
-    assert res.value == 2
-    mh5 = matching_hypergraph(make_cycle(5), 2)
-    res = alt_min(mh5)
-    assert res.value <= 3
-    # consistency: chi(KG) = 3 >= ground - alt_min
-    assert 3 >= mh5.ground_n - res.value
-
-
-def test_min_heuristic_mode_is_upper_bound():
-    rng = random.Random(71)
-    for _ in range(10):
-        h = random_hypergraph(rng, 5, 3)
-        exact = alt_min(h)
-        heur = alt_min(h, heuristic=True, restarts=4, seed=3)
-        assert not heur.certified
-        assert heur.value >= exact.value
-        exact_s = salt_min(h)
-        heur_s = salt_min(h, heuristic=True, restarts=4, seed=3)
-        assert heur_s.value >= exact_s.value
 
 
 def test_ex_alt_examples():

@@ -1,6 +1,7 @@
 import math
 import random
 
+import networkx as nx
 import pytest
 
 from matchgraph import (
@@ -21,9 +22,14 @@ from matchgraph import (
     odd_girth,
     parse_graph,
 )
-from matchgraph.graphs import bipartition, component_masks, is_connected
+from matchgraph.graphs import component_masks, is_connected
 
-from tests.oracles import odd_girth_by_cycle_enumeration, random_graph, tour_is_valid
+from tests.oracles import (
+    odd_girth_by_cycle_enumeration,
+    random_graph,
+    to_networkx,
+    tour_is_valid,
+)
 
 PETERSEN = Graph(
     10,
@@ -85,19 +91,6 @@ def test_graph_rejects_non_int_labels():
     assert all(a is b for a, b in zip(g.edges, pairs))
 
 
-def test_bipartition_sides():
-    rng = random.Random(17)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 9), rng.random())
-        sides = bipartition(g)
-        if sides is None:
-            continue
-        side0, side1 = sides
-        assert side0 | side1 == (1 << g.n) - 1 and not side0 & side1
-        assert all((side0 >> u & 1) != (side0 >> v & 1) for u, v in g.edges)
-        assert all(side0 & comp & -comp for comp in component_masks(g))
-
-
 def test_odd_components_examples():
     assert odd_components(make_path(3), [1]) == 2
     assert odd_components(make_cycle(6)) == 0
@@ -128,7 +121,7 @@ def test_odd_girth_infinite_iff_bipartite():
     rng = random.Random(5)
     for _ in range(60):
         g = random_graph(rng, rng.randint(2, 9), rng.random())
-        assert (odd_girth(g) == math.inf) == (bipartition(g) is not None)
+        assert (odd_girth(g) == math.inf) == nx.is_bipartite(to_networkx(g))
 
 
 def test_eulerian_tour_cycle():

@@ -8,7 +8,6 @@ from matchgraph import (
     EdgeOrdering,
     Graph,
     LocallyEulerianCertificate,
-    NotEulerianError,
     apex_ordering,
     chromatic_number,
     euler_ordering,
@@ -24,7 +23,9 @@ from matchgraph import (
     verify_locally_eulerian,
 )
 
-from tests.oracles import random_connected_graph
+from matchgraph.graphs import component_masks
+
+from tests.oracles import euler_by_components, random_connected_graph, random_graph
 
 SPIDER = Graph(7, ((0, 1), (0, 3), (0, 5), (1, 2), (3, 4), (5, 6)))  # three legs of length 2
 
@@ -80,8 +81,24 @@ def test_euler_ordering_star_mechanics():
 
 
 def test_euler_ordering_disconnected():
-    with pytest.raises(NotEulerianError):
-        euler_ordering(Graph(4, ((0, 1), (2, 3))))
+    assert euler_ordering(Graph(4, ((0, 1), (2, 3)))).perm == (0, 1)
+    # an isolated vertex, a claw with its own auxiliary vertex, a triangle
+    mixed = Graph(8, ((1, 2), (1, 3), (1, 4), (5, 6), (5, 7), (6, 7)))
+    assert euler_ordering(mixed).perm == (0, 1, 2, 4, 3, 5)
+
+
+def test_euler_ordering_tours_each_component_as_its_own_graph():
+    rng = random.Random(29)
+    kinds = set()
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 11), rng.choice((0.1, 0.2, 0.35, 0.6)))
+        comps = component_masks(g)
+        for comp in comps:
+            odd = any(g.degrees[v] % 2 for v in range(g.n) if comp >> v & 1)
+            kinds.add("isolated" if not comp & (comp - 1) else "odd" if odd else "eulerian")
+        kinds.add("connected" if len(comps) == 1 else "disconnected")
+        assert euler_ordering(g) == euler_by_components(g), g.edges
+    assert kinds == {"isolated", "odd", "eulerian", "connected", "disconnected"}
 
 
 def _color_counts_at_vertices(g, sigma):

@@ -18,7 +18,6 @@ from matchgraph.smallgraphs import (
     _neighbourhood_representatives,
     _order_map,
     canonical_form,
-    connected_graphs_exactly,
     connected_graphs_up_to,
 )
 from tests.oracles import brute_canonical_form, brute_neighbourhood_orbits, random_graph
@@ -28,8 +27,9 @@ EXPECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 
 
 def test_connected_graph_counts():
+    everything = list(connected_graphs_up_to(max(EXPECTED)))
     for n, expected in EXPECTED.items():
-        graphs = connected_graphs_exactly(n)
+        graphs = [g for g in everything if g.n == n]
         assert len(graphs) == expected
         assert all(is_connected(g) for g in graphs)
         assert len({canonical_form(g) for g in graphs}) == expected
