@@ -73,7 +73,8 @@ def alt(x: Sequence[int]) -> int:
 # Hypergraph-side engine: branch and bound over sign vectors in sigma order.
 # ---------------------------------------------------------------------------
 
-# The sign search visits up to 3^n vectors over a ground set of size n.
+# The sign search visits up to 3^n sign vectors on a ground set of n elements;
+# 3^18, about 3.9e8, is the most it is allowed.
 SIGN_SEARCH_CAP = 18
 
 

@@ -212,8 +212,8 @@ def tour_is_valid(view, tour, start, edge_ids=None) -> bool:
 
 
 def euler_by_components(g: Graph):
-    """Euler ordering built one component at a time: each component with an
-    edge is relabelled to a connected graph of its own, ordered by
+    """Euler ordering built one component at a time: each component is
+    relabelled, in vertex order, to a connected graph of its own, ordered by
     ``euler_ordering`` there, and the orderings are mapped back and joined
     in order of the components' lowest vertices."""
     from matchgraph import EdgeOrdering, euler_ordering

@@ -95,7 +95,7 @@ def test_euler_ordering_tours_each_component_as_its_own_graph():
         comps = component_masks(g)
         for comp in comps:
             odd = any(g.degrees[v] % 2 for v in range(g.n) if comp >> v & 1)
-            kinds.add("isolated" if not comp & (comp - 1) else "odd" if odd else "eulerian")
+            kinds.add("isolated" if comp.bit_count() == 1 else "odd" if odd else "eulerian")
         kinds.add("connected" if len(comps) == 1 else "disconnected")
         assert euler_ordering(g) == euler_by_components(g), g.edges
     assert kinds == {"isolated", "odd", "eulerian", "connected", "disconnected"}
