@@ -40,7 +40,6 @@ from .graphs import (
     INFINITE,
     DegreeOrder,
     Graph,
-    MultiGraphView,
     degree_order,
     eulerian_tour,
     format_graph,

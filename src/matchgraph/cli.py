@@ -122,7 +122,10 @@ def _resolve_ordering(g: Graph, choice: str) -> EdgeOrdering:
         return EdgeOrdering.identity(g.m)
     if choice.startswith("file:"):
         with open(choice[5:], "r", encoding="ascii") as fh:
-            return EdgeOrdering.from_line(fh.read())
+            sigma = EdgeOrdering.from_line(fh.read())
+        if len(sigma) != g.m:
+            raise ValueError(f"ordering has {len(sigma)} entries, the graph has {g.m} edges")
+        return sigma
     raise ValueError(f"unknown ordering choice {choice!r}")
 
 
@@ -402,8 +405,8 @@ def cmd_scan(
     """Scan all connected graphs on up to max_n vertices: does
     chi(KG(G, rK2)) equal |E(G)| - ex(G, rK2) on every one of them?"""
     started = time.perf_counter()
-    if max_n > 7:
-        raise ValueError("scan is limited to max_n <= 7")
+    if not 1 <= max_n <= 7:
+        raise ValueError(f"scan needs 1 <= max_n <= 7, got {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks = [

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 from .errors import GraphParseError, NotEulerianError
 
@@ -174,6 +174,16 @@ def is_connected(g: Graph) -> bool:
     return len(component_masks(g)) == 1
 
 
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _has_inner_edge(g: Graph, vertices: int) -> bool:
     """Does some edge join two vertices of the vertex mask?"""
     return any(g.adj_masks[v] & vertices for v in range(g.n) if vertices >> v & 1)
@@ -215,185 +225,80 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
     """Non-increasing degree order, ties broken by ascending vertex index.
 
     When ``require_independent_prefix=k`` is given, vertices are permuted
-    only inside equal-degree classes so that the first k vertices are
-    pairwise non-adjacent.  Returns None when no degree-respecting order
-    has such a prefix.
+    only inside the equal-degree class that holds position k, so that the
+    first k vertices are pairwise non-adjacent: the lexicographically first
+    independent choice from that class is moved to its front.  Returns None
+    when no degree-respecting order has such a prefix.
     """
-    base = sorted(range(g.n), key=lambda v: (-g.degrees[v], v))
-    if require_independent_prefix is None:
-        return DegreeOrder(tuple(base))
+    degrees = g.degrees
+    base = sorted(range(g.n), key=lambda v: (-degrees[v], v))
     k = require_independent_prefix
-    if k < 0 or k > g.n:
+    if k is not None and not 0 <= k <= g.n:
         return None
-    if k <= 1:
+    if k is None or k <= 1:
         return DegreeOrder(tuple(base))
+    cut = degrees[base[k - 1]]
+    fixed = [v for v in base if degrees[v] > cut]
+    tied = [v for v in base if degrees[v] == cut]
+    adj = g.adj_masks
+    blocked = 0  # neighbours of the vertices placed so far
+    for v in fixed:
+        if blocked >> v & 1:
+            return None
+        blocked |= adj[v]
 
-    # Split into maximal equal-degree classes, in order.
-    classes: list[list[int]] = []
-    for v in base:
-        if classes and g.degrees[classes[-1][0]] == g.degrees[v]:
-            classes[-1].append(v)
-        else:
-            classes.append([v])
-
-    prefix: list[int] = []
-    taken = 0
-    for ci, cls in enumerate(classes):
-        if taken + len(cls) <= k:
-            prefix.extend(cls)
-            taken += len(cls)
-            if taken == k:
-                boundary = ci + 1
-                chosen_tail: list[int] = []
-                break
-        else:
-            need = k - taken
-            chosen_tail = _independent_extension(g, prefix, cls, need)
-            if chosen_tail is None:
-                return None
-            prefix.extend(chosen_tail)
-            boundary = ci
-            break
-    else:
-        boundary = len(classes)
-        chosen_tail = []
-
-    if not _pairwise_independent(g, prefix):
+    def pick(start: int, need: int, blocked: int) -> list[int] | None:
+        """First `need` pairwise non-adjacent vertices of tied[start:] outside `blocked`."""
+        if need == 0:
+            return []
+        for i in range(start, len(tied) - need + 1):
+            v = tied[i]
+            if not blocked >> v & 1:
+                rest = pick(i + 1, need - 1, blocked | adj[v])
+                if rest is not None:
+                    return [v] + rest
         return None
 
-    rest: list[int] = []
-    if chosen_tail:
-        rest.extend(v for v in classes[boundary] if v not in chosen_tail)
-        boundary += 1
-    for cls in classes[boundary:]:
-        rest.extend(cls)
-    return DegreeOrder(tuple(prefix + rest))
-
-
-def _pairwise_independent(g: Graph, vertices: Sequence[int]) -> bool:
-    return all(
-        not g.has_edge(vertices[i], vertices[j])
-        for i in range(len(vertices))
-        for j in range(i + 1, len(vertices))
-    )
-
-
-def _independent_extension(g: Graph, fixed: list[int], cls: list[int], need: int):
-    """Lexicographically smallest `need`-subset of cls independent with fixed."""
-    if not _pairwise_independent(g, fixed):
+    chosen = pick(0, k - len(fixed), blocked)
+    if chosen is None:
         return None
-    chosen: list[int] = []
-
-    def ok(v):
-        return all(not g.has_edge(v, w) for w in fixed) and all(
-            not g.has_edge(v, w) for w in chosen
-        )
-
-    def search(start: int) -> bool:
-        if len(chosen) == need:
-            return True
-        for idx in range(start, len(cls)):
-            if len(cls) - idx < need - len(chosen):
-                return False
-            v = cls[idx]
-            if ok(v):
-                chosen.append(v)
-                if search(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    return chosen if search(0) else None
+    rest = [v for v in base if degrees[v] <= cut and v not in chosen]
+    return DegreeOrder(tuple(fixed + chosen + rest))
 
 
 # ---------------------------------------------------------------------------
-# Multigraph views and Eulerian tours.
+# Eulerian tours.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultiGraphView:
-    """A base graph plus extra edges that may duplicate base pairs.
+def eulerian_tour(edges: Mapping[int, tuple[int, int]], start: int) -> list[int]:
+    """Deterministic Eulerian tour of a multigraph, as a sequence of edge ids.
 
-    Used for the Eulerian auxiliary constructions: the per-component
-    auxiliary vertices of the Euler ordering, and the apex vertex with its
-    doubled edges.  Edge ids: base edge i keeps id i; extra edge j has id
-    ``base.m + j``.  ``n`` may exceed ``base.n`` so extra edges can attach
-    to auxiliary vertices.
+    ``edges`` maps each edge id to its end pair; parallel edges are allowed
+    and vertex labels are arbitrary ints.  Only these edges are read, so a
+    tour costs time in their number alone.  Hierholzer with splicing; at
+    every vertex the unused incident edge with the smallest (neighbor, edge
+    id) is taken, which pins down the tour.  With no edges the tour is empty.
+
+    Raises NotEulerianError (naming a violating vertex) if some vertex has
+    odd degree, or if the edges are disconnected or do not meet ``start``.
     """
-
-    base: Graph
-    extra: tuple[tuple[int, int], ...] = ()
-    n: int | None = None
-
-    def __post_init__(self):
-        n = self.base.n if self.n is None else self.n
-        if n < self.base.n:
-            raise ValueError("view cannot have fewer vertices than its base")
-        object.__setattr__(self, "n", n)
-        for u, v in self.extra:
-            if u == v or not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"bad extra edge ({u},{v})")
-
-    @property
-    def m(self) -> int:
-        return self.base.m + len(self.extra)
-
-    def edge_pair(self, eid: int) -> tuple[int, int]:
-        if eid < self.base.m:
-            return self.base.edges[eid]
-        u, v = self.extra[eid - self.base.m]
-        return (u, v) if u < v else (v, u)
-
-    @cached_property
-    def incidence(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per-vertex (neighbor, edge id) pairs sorted ascending."""
-        inc: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for eid in range(self.m):
-            u, v = self.edge_pair(eid)
-            inc[u].append((v, eid))
-            inc[v].append((u, eid))
-        return tuple(tuple(sorted(a)) for a in inc)
-
-
-def _as_view(g: Graph | MultiGraphView) -> MultiGraphView:
-    return g if isinstance(g, MultiGraphView) else MultiGraphView(g)
-
-
-def eulerian_tour(
-    g: Graph | MultiGraphView,
-    start: int,
-    edge_ids: Iterable[int] | None = None,
-) -> list[int]:
-    """Deterministic Eulerian tour as a sequence of edge ids.
-
-    Hierholzer with splicing; at every vertex the unused incident edge with
-    the smallest (neighbor, edge id) is taken, which pins down the tour.
-    When ``edge_ids`` is given, only that edge subset is toured.
-
-    Raises NotEulerianError (naming a violating vertex) if some vertex of
-    the selected subgraph has odd degree, or if its nonzero-degree part is
-    disconnected or does not contain ``start``.
-    """
-    view = _as_view(g)
-    if not 0 <= start < view.n:
-        raise ValueError(f"start vertex {start} not in graph")
-    selected = set(range(view.m)) if edge_ids is None else set(edge_ids)
-    inc = [
-        [(w, eid) for (w, eid) in view.incidence[v] if eid in selected]
-        for v in range(view.n)
-    ]
-    for v in range(view.n):
+    inc: dict[int, list[tuple[int, int]]] = {}
+    for eid, (u, v) in edges.items():
+        inc.setdefault(u, []).append((v, eid))
+        inc.setdefault(v, []).append((u, eid))
+    for v in sorted(inc):
         if len(inc[v]) % 2 == 1:
             raise NotEulerianError(f"vertex {v} has odd degree", vertex=v)
-    total = len(selected)
-    if total == 0:
+    if not edges:
         return []
-    if not inc[start]:
+    if start not in inc:
         raise NotEulerianError(
             f"start vertex {start} has no selected edges", vertex=start
         )
+    for lst in inc.values():
+        lst.sort()
 
-    pointer = [0] * view.n
+    pointer = dict.fromkeys(inc, 0)
     used = set()
     stack: list[tuple[int, int | None]] = [(start, None)]
     out: list[int] = []
@@ -412,11 +317,9 @@ def eulerian_tour(
             w, eid = lst[i]
             used.add(eid)
             stack.append((w, eid))
-    if len(out) != total:
-        # Some selected edges were unreachable from start.
-        remaining = selected - used
-        eid = min(remaining)
-        u, _ = view.edge_pair(eid)
+    if len(out) != len(edges):
+        # Some edges were unreachable from start.
+        u = min(edges[min(edges.keys() - used)])
         raise NotEulerianError(
             f"edges unreachable from start {start} (e.g. at vertex {u})", vertex=u
         )

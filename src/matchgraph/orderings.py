@@ -8,6 +8,9 @@ more than half of the edges at any non-start vertex, which is what makes
 the top-degree chromatic formula work on sparse graphs.  ``apex_ordering``
 builds the staged tour through an apex vertex with doubled edges, guided
 by a locally-Eulerian certificate; it is the dense-graph counterpart.
+Both hand ``graphs.eulerian_tour`` plain maps from edge id to end pair:
+host edges keep their ids, auxiliary edges are numbered after them, and
+auxiliary vertices are labelled above every host vertex.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .errors import CertificateError
 from .graphs import (
     DegreeOrder,
     Graph,
-    MultiGraphView,
+    _bits,
     component_masks,
     degree_order,
     eulerian_tour,
@@ -90,28 +93,34 @@ def euler_ordering(g: Graph) -> EdgeOrdering:
     with odd-degree vertices gets an auxiliary vertex of its own, joined to
     each of them, and its tour starts there; otherwise the tour starts at
     the component's last vertex in the degree order.  Auxiliary vertices
-    are labelled above every vertex of g, so each component is toured as it
-    would be on its own.  The tours are projected onto the graph's own
+    are labelled ``g.n, g.n + 1, ...`` and their edges get ids ``g.m,
+    g.m + 1, ...``, so each component is toured as it would be on its own.
+    Each tour reads only its component's edges, so the whole ordering costs
+    time linear in the host.  The tours are projected onto the graph's own
     edges in traversal order.
     """
-    extra: list[tuple[int, int]] = []
-    tours: list[tuple[int, int]] = []  # (component mask, start vertex)
-    aux = g.n
-    for comp in component_masks(g):
-        members = [v for v in range(g.n) if comp >> v & 1]
+    comps = component_masks(g)
+    label = [0] * g.n
+    for c, comp in enumerate(comps):
+        for v in _bits(comp):
+            label[v] = c
+    buckets: list[dict[int, tuple[int, int]]] = [{} for _ in comps]
+    for e, pair in enumerate(g.edges):
+        buckets[label[pair[0]]][e] = pair
+    eid, aux = g.m, g.n
+    order: list[int] = []
+    for comp, edges in zip(comps, buckets):
+        members = _bits(comp)
         odd = [v for v in members if g.degrees[v] % 2 == 1]
         if odd:
-            extra.extend((v, aux) for v in odd)
-            tours.append((comp, aux))
+            for v in odd:
+                edges[eid] = (v, aux)
+                eid += 1
+            start = aux
             aux += 1
         else:
-            tours.append((comp, max(members, key=lambda v: (-g.degrees[v], v))))
-    view = MultiGraphView(g, tuple(extra), n=aux)
-    ends = [u for u, _ in g.edges] + [v for v, _ in extra]
-    order: list[int] = []
-    for comp, start in tours:
-        ids = [e for e, u in enumerate(ends) if comp >> u & 1]
-        order.extend(e for e in eulerian_tour(view, start, edge_ids=ids) if e < g.m)
+            start = max(members, key=lambda v: (-g.degrees[v], v))
+        order.extend(e for e in eulerian_tour(edges, start) if e < g.m)
     return EdgeOrdering(tuple(order))
 
 
@@ -220,13 +229,14 @@ def verify_locally_eulerian(cert: LocallyEulerianCertificate) -> VerificationRes
 def apex_ordering(g: Graph, host: Graph, cert: LocallyEulerianCertificate) -> EdgeOrdering:
     """Edge ordering of g from the staged apex tour over a certified host.
 
-    An apex vertex is joined to every host vertex by a doubled edge (ids
-    2i and 2i+1 within the auxiliary block, in certificate order); if the
-    resulting multigraph has odd vertices a parity vertex is joined to
-    them.  Step i tours: apex spoke out, the certified subgraph rooted at
-    roots[i], at most one still-untraversed leftover component containing
-    the root, then the spoke back.  The concatenation is an Eulerian tour
-    of the auxiliary multigraph; projecting it to E(g) gives the ordering.
+    An apex vertex ``host.n`` is joined to every host vertex by a doubled
+    edge (ids ``host.m + 2i`` and ``host.m + 2i + 1``, in certificate
+    order); if the resulting multigraph has odd vertices a parity vertex
+    ``host.n + 1`` is joined to them.  Step i tours: apex spoke out, the
+    certified subgraph rooted at roots[i], at most one still-untraversed
+    leftover component containing the root, then the spoke back.  The
+    concatenation is an Eulerian tour of the auxiliary multigraph;
+    projecting it to E(g) gives the ordering.
     """
     check = verify_locally_eulerian(cert)
     if not check.ok:
@@ -242,37 +252,30 @@ def apex_ordering(g: Graph, host: Graph, cert: LocallyEulerianCertificate) -> Ed
     n = host.n
     apex = n
     odd = [v for v in range(n) if host.degrees[v] % 2 == 1]
-    parity = n + 1 if odd else None
     extra: list[tuple[int, int]] = []
-    for i in range(n):
-        root = cert.roots[i]
+    for root in cert.roots:
         extra.append((root, apex))
         extra.append((root, apex))
-    z_offset = host.m + len(extra)
-    if odd:
-        extra.extend((v, parity) for v in odd)
-    view = MultiGraphView(host, tuple(extra), n=n + (2 if odd else 1))
+    extra.extend((v, n + 1) for v in odd)  # the parity vertex
+    pairs = host.edges + tuple(extra)
 
     covered = reduce(lambda acc, s: acc | frozenset(s), cert.subgraphs, frozenset())
-    leftover = [e for e in range(host.m) if e not in covered]
-    leftover_ids = leftover + list(range(z_offset, view.m))
-    leftover_graph = Graph(view.n, tuple(view.edge_pair(e) for e in leftover_ids))
+    leftover_ids = [e for e in range(host.m) if e not in covered]
+    leftover_ids += range(host.m + 2 * n, len(pairs))  # the parity edges
+    leftover_graph = Graph(n + 2, tuple(pairs[e] for e in leftover_ids))
     pending = [c for c in component_masks(leftover_graph) if c.bit_count() > 1]
 
     tour: list[int] = []
-    for i in range(n):
-        root = cert.roots[i]
+    for i, root in enumerate(cert.roots):
         tour.append(host.m + 2 * i)
-        tour.extend(eulerian_tour(view, root, edge_ids=cert.subgraphs[i]))
+        tour.extend(eulerian_tour({e: pairs[e] for e in cert.subgraphs[i]}, root))
         comp = next((c for c in pending if c >> root & 1), None)
         if comp is not None:
             pending.remove(comp)
-            comp_edges = [
-                e for e, (u, _) in zip(leftover_ids, leftover_graph.edges) if comp >> u & 1
-            ]
-            tour.extend(eulerian_tour(view, root, edge_ids=comp_edges))
+            comp_edges = {e: pairs[e] for e in leftover_ids if comp >> pairs[e][0] & 1}
+            tour.extend(eulerian_tour(comp_edges, root))
         tour.append(host.m + 2 * i + 1)
-    if sorted(tour) != list(range(view.m)):
+    if sorted(tour) != list(range(len(pairs))):
         raise CertificateError("staged walk is not an Eulerian tour of the auxiliary graph")
 
     g_ids = []

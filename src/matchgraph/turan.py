@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import CertificateError
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .matching import edge_subset_has_r_matching
 
 NODE_BUDGET = 5_000_000
@@ -58,16 +58,6 @@ def star_lower_bound(g: Graph, r: int) -> tuple[int, frozenset[int]]:
             best_val = len(ids)
             best_edges = frozenset(ids)
     return max(best_val, 0), best_edges
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    """Indices of the set bits of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _incident_masks(g: Graph) -> list[int]:

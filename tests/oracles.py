@@ -13,7 +13,6 @@ from itertools import combinations, permutations, product
 import networkx as nx
 
 from matchgraph import Graph, alt
-from matchgraph.graphs import MultiGraphView
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +160,28 @@ def brute_has_r_matching(g: Graph, edge_ids, r: int) -> bool:
     return False
 
 
+def degree_order_by_combinations(g: Graph, k: int):
+    """Degree order (ties by vertex index) whose first k vertices are pairwise
+    non-adjacent: the vertices of degree above that of position k stay in
+    front, followed by the first independent choice that
+    ``itertools.combinations`` yields from the degree class of position k.
+    None when there is no such choice or k is out of range."""
+    deg = [sum(1 for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)]
+    base = sorted(range(g.n), key=lambda v: (-deg[v], v))
+    if not 0 <= k <= g.n:
+        return None
+    if k <= 1:
+        return tuple(base)
+    cut = deg[base[k - 1]]
+    fixed = tuple(v for v in base if deg[v] > cut)
+    tied = [v for v in base if deg[v] == cut]
+    lower = tuple(v for v in base if deg[v] < cut)
+    for pick in combinations(tied, k - len(fixed)):
+        if not any(g.has_edge(a, b) for a, b in combinations(fixed + pick, 2)):
+            return fixed + pick + tuple(v for v in tied if v not in pick) + lower
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Cycles and tours.
 # ---------------------------------------------------------------------------
@@ -189,19 +210,15 @@ def odd_girth_by_cycle_enumeration(g: Graph):
     return best[0] if best[0] is not None else float("inf")
 
 
-def tour_is_valid(view, tour, start, edge_ids=None) -> bool:
-    """Eulerian tour predicate: every selected edge once, consecutive edges
-    share endpoints, tour starts and ends at start."""
-    if isinstance(view, Graph):
-        view = MultiGraphView(view)
-    selected = sorted(range(view.m) if edge_ids is None else edge_ids)
-    if sorted(tour) != selected:
+def tour_is_valid(edges, tour, start) -> bool:
+    """Eulerian tour predicate for ``edges`` (edge id -> end pair): every
+    edge once, consecutive edges share endpoints, tour starts and ends at
+    start."""
+    if sorted(tour) != sorted(edges):
         return False
-    if not tour:
-        return True
     here = start
     for eid in tour:
-        u, v = view.edge_pair(eid)
+        u, v = edges[eid]
         if here == u:
             here = v
         elif here == v:

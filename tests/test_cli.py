@@ -166,6 +166,14 @@ def test_cmd_scan_rejects_nonpositive_jobs(capsys):
     assert "jobs" in capsys.readouterr().err
 
 
+def test_cmd_scan_rejects_max_n_below_one(capsys):
+    for max_n in (0, -1):
+        with pytest.raises(ValueError):
+            cmd_scan(max_n, 2)
+        assert main(["scan", "--max-n", str(max_n), "--r", "2"]) == EXIT_USAGE
+        assert "max_n" in capsys.readouterr().err
+
+
 def test_cmd_scan_writes_jsonl(tmp_path):
     out = tmp_path / "records.jsonl"
     report = cmd_scan(3, 2, out_path=str(out))
@@ -394,3 +402,16 @@ def test_ordering_from_file(tmp_path):
     report = cmd_analyze(str(gpath), 2, ordering=f"file:{opath}")
     assert report["results"]["ordering"]["perm"] == [4, 0, 1, 2, 3]
     assert report["results"]["chi"] == 3
+
+
+def test_ordering_file_of_wrong_length_is_rejected(tmp_path, capsys):
+    # P3 at r = 2 has an empty matching graph, so no later stage would see
+    # the ordering's length
+    gpath = tmp_path / "p3.txt"
+    gpath.write_text("3 2\n0 1\n1 2\n", encoding="ascii")
+    opath = tmp_path / "ordering.txt"
+    opath.write_text("0 1 2\n", encoding="ascii")
+    code = main(["analyze", str(gpath), "--r", "2", "--ordering", f"file:{opath}"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 entries" in err

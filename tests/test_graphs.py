@@ -8,7 +8,6 @@ from matchgraph import (
     DegreeOrder,
     Graph,
     GraphParseError,
-    MultiGraphView,
     NotEulerianError,
     degree_order,
     eulerian_tour,
@@ -25,6 +24,7 @@ from matchgraph import (
 from matchgraph.graphs import component_masks, is_connected
 
 from tests.oracles import (
+    degree_order_by_combinations,
     odd_girth_by_cycle_enumeration,
     random_graph,
     to_networkx,
@@ -124,13 +124,17 @@ def test_odd_girth_infinite_iff_bipartite():
         assert (odd_girth(g) == math.inf) == nx.is_bipartite(to_networkx(g))
 
 
+def edge_map(g):
+    return dict(enumerate(g.edges))
+
+
 def test_eulerian_tour_cycle():
-    tour = eulerian_tour(make_cycle(4), 0)
+    tour = eulerian_tour(edge_map(make_cycle(4)), 0)
     assert tour == [0, 1, 2, 3]
 
 
 def test_eulerian_tour_k5_valid_and_deterministic():
-    k5 = make_complete(5)
+    k5 = edge_map(make_complete(5))
     tour = eulerian_tour(k5, 0)
     assert len(tour) == 10
     assert tour_is_valid(k5, tour, 0)
@@ -139,21 +143,26 @@ def test_eulerian_tour_k5_valid_and_deterministic():
 
 def test_eulerian_tour_rejects_odd_degree():
     with pytest.raises(NotEulerianError) as exc:
-        eulerian_tour(make_complete_bipartite(1, 2), 0)
-    assert exc.value.vertex is not None
+        eulerian_tour(edge_map(make_complete_bipartite(1, 2)), 0)
+    assert exc.value.vertex == 1  # the lowest odd vertex is named
 
 
 def test_eulerian_tour_rejects_disconnected():
     two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-    with pytest.raises(NotEulerianError):
-        eulerian_tour(two_triangles, 0)
+    with pytest.raises(NotEulerianError) as exc:
+        eulerian_tour(edge_map(two_triangles), 0)
+    assert exc.value.vertex == 3
+    with pytest.raises(NotEulerianError) as exc:
+        eulerian_tour(edge_map(two_triangles), 6)  # start meets no edge
+    assert exc.value.vertex == 6
 
 
 def test_eulerian_tour_edge_subset():
     k5 = make_complete(5)
-    triangle = [k5.edge_index[p] for p in ((0, 1), (0, 2), (1, 2))]
-    tour = eulerian_tour(k5, 0, edge_ids=triangle)
-    assert tour_is_valid(k5, tour, 0, edge_ids=triangle)
+    triangle = {k5.edge_index[p]: p for p in ((0, 1), (0, 2), (1, 2))}
+    tour = eulerian_tour(triangle, 0)
+    assert tour_is_valid(triangle, tour, 0)
+    assert eulerian_tour({}, 3) == []
 
 
 def test_eulerian_tour_random_even_graphs():
@@ -163,24 +172,27 @@ def test_eulerian_tour_random_even_graphs():
         g = random_graph(rng, rng.randint(3, 8), 0.6)
         if g.m == 0 or any(d % 2 for d in g.degrees) or not is_connected(g):
             continue
-        tour = eulerian_tour(g, 0)
-        assert tour_is_valid(g, tour, 0)
+        tour = eulerian_tour(edge_map(g), 0)
+        assert tour_is_valid(edge_map(g), tour, 0)
         found += 1
 
 
 def test_eulerian_tour_ignores_isolated_vertices():
     g = Graph(5, ((0, 1), (0, 2), (1, 2)))  # triangle plus two isolated vertices
-    tour = eulerian_tour(g, 0)
-    assert tour_is_valid(g, tour, 0)
+    tour = eulerian_tour(edge_map(g), 0)
+    assert tour_is_valid(edge_map(g), tour, 0)
 
 
-def test_multigraph_view_tour():
-    base = make_path(3)
-    # double both edges: every vertex becomes even
-    view = MultiGraphView(base, ((0, 1), (1, 2)))
-    tour = eulerian_tour(view, 0)
-    assert tour_is_valid(view, tour, 0)
-    assert len(tour) == 4
+def test_eulerian_tour_doubled_path():
+    # both edges of P3 doubled: every vertex becomes even
+    doubled = {0: (0, 1), 1: (1, 2), 2: (0, 1), 3: (1, 2)}
+    tour = eulerian_tour(doubled, 0)
+    assert tour_is_valid(doubled, tour, 0)
+    assert tour == [0, 1, 3, 2]
+
+
+def test_eulerian_tour_labels_are_not_indices():
+    assert eulerian_tour({0: (0, 10**9), 1: (0, 10**9)}, 0) == [0, 1]
 
 
 def test_degree_order_plain_and_ties():
@@ -215,6 +227,16 @@ def test_degree_order_prefix_search_inside_tie_class():
     assert [c7.degrees[v] for v in order.perm] == sorted(c7.degrees, reverse=True)
     # the two degree-2 vertices of P4 are adjacent, so no valid prefix exists
     assert degree_order(make_path(4), require_independent_prefix=2) is None
+
+
+def test_degree_order_matches_combinations_oracle():
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        for k in range(6):
+            order = degree_order(g, require_independent_prefix=k)
+            got = None if order is None else order.perm
+            assert got == degree_order_by_combinations(g, k), (g.edges, k)
 
 
 def test_component_masks():

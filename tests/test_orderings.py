@@ -13,6 +13,7 @@ from matchgraph import (
     euler_ordering,
     ex_alt_sigma,
     ex_salt_sigma,
+    locally_eulerian_from_c4,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -302,6 +303,48 @@ def test_apex_ordering_with_leftover_components():
     cert = triangle_certificate(k9, 9)
     sigma = apex_ordering(k9, k9, cert)
     assert sorted(sigma.perm) == list(range(36))
+
+
+def test_apex_ordering_pinned():
+    # the staged tours, parity vertex and leftover components fix each perm
+    k7 = make_complete(7)
+    two_blocks = Graph(14, k7.edges + tuple((u + 7, v + 7) for u, v in k7.edges))
+    hosts = {
+        "K7": (k7, 7),
+        "K8": (make_complete(8), 8),
+        "K9": (make_complete(9), 9),
+        "K7+K7": (two_blocks, 14),
+    }
+    pinned = {
+        "K7": (
+            0, 6, 1, 7, 16, 9, 12, 18, 13, 2, 3, 15, 8, 10, 19, 4, 5, 20, 14, 11, 17
+        ),
+        "K8": (
+            0, 7, 1, 6, 11, 13, 22, 8, 19, 10, 14, 23, 16, 2, 3, 18, 9, 12, 24, 4, 5,
+            25, 20, 21, 27, 17, 15, 26
+        ),
+        "K9": (
+            0, 8, 1, 9, 22, 11, 13, 24, 25, 29, 26, 31, 33, 34, 14, 16, 28, 19, 2, 3,
+            21, 10, 12, 27, 4, 5, 30, 18, 15, 23, 6, 7, 35, 20, 17, 32
+        ),
+        "K7+K7": (
+            0, 6, 1, 7, 16, 9, 12, 18, 13, 2, 3, 15, 8, 10, 19, 4, 5, 20, 14, 11, 17,
+            21, 27, 22, 28, 37, 30, 33, 39, 34, 23, 24, 36, 29, 31, 40, 25, 26, 41, 35,
+            32, 38
+        ),
+    }
+    for name, (g, count) in hosts.items():
+        assert apex_ordering(g, g, triangle_certificate(g, count)).perm == pinned[name], name
+    cert = locally_eulerian_from_c4(11, 11, 2, 0).certificate
+    assert apex_ordering(cert.host, cert.host, cert).perm == (
+        0, 11, 12, 1, 10, 76, 66, 44, 20, 75, 70, 92, 88, 55, 56, 34, 36, 58, 60, 28,
+        61, 40, 73, 77, 99, 100, 90, 101, 106, 109, 110, 112, 114, 80, 83, 96, 97, 13,
+        35, 39, 17, 24, 2, 3, 25, 37, 4, 5, 38, 50, 6, 7, 51, 63, 8, 9, 64, 68, 46, 52,
+        74, 78, 111, 115, 82, 93, 49, 54, 98, 102, 69, 71, 104, 119, 42, 43, 120, 22,
+        30, 41, 33, 23, 31, 53, 45, 57, 62, 84, 79, 14, 15, 48, 47, 26, 32, 65, 59, 16,
+        18, 29, 27, 72, 67, 89, 94, 95, 91, 113, 117, 107, 105, 116, 118, 86, 81, 103,
+        108, 21, 19, 85, 87
+    )
 
 
 def test_apex_ordering_projects_to_subgraph():

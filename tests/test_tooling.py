@@ -38,3 +38,38 @@ def test_no_unused_imports_in_package():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno} {name}")
     assert unused == []
+
+
+def _module_level_definitions():
+    """(module file name, name) of every module-level function and class."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield path.name, node.name
+
+
+def test_no_name_defined_in_two_modules():
+    # each primitive exists once; a copied helper drifts from its original
+    where: dict[str, list[str]] = {}
+    for module, name in _module_level_definitions():
+        where.setdefault(name, []).append(module)
+    assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper that nothing names is left over from deleted code
+    referenced = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unused = [
+        f"{module}:{name}"
+        for module, name in _module_level_definitions()
+        if name.startswith("_") and name not in referenced
+    ]
+    assert unused == []
