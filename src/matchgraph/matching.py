@@ -190,19 +190,23 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
 
     S is the Gallai-Edmonds set N(D) minus D, where D is the set of vertices
     missed by some maximum matching, i.e. those v with nu(G - v) = nu(G).
-    The set is unique, so the witness is canonical.  The Tutte-Berge
-    equality |V| - o(G-S) + |S| = 2 nu is checked explicitly: together with
-    the matching it certifies the matching number.
+    The set is unique, so the witness is canonical.  A vertex that the
+    found maximum matching leaves exposed is in D, so the matcher runs
+    again only for the 2 nu covered vertices.  The Tutte-Berge equality
+    |V| - o(G-S) + |S| = 2 nu is checked explicitly: together with the
+    matching it certifies the matching number.
     """
     n = g.n
     adj = _neighbour_lists(g)
-    _, nu = _augmenting_matcher(n, adj)
+    match, nu = _augmenting_matcher(n, adj)
     missable = neighbours = 0  # D and the neighbours of D, as bitmasks
     for v in range(n):
-        without_v = [() if u == v else [w for w in a if w != v] for u, a in enumerate(adj)]
-        if _augmenting_matcher(n, without_v, enough=nu)[1] == nu:
-            missable |= 1 << v
-            neighbours |= g.adj_masks[v]
+        if match[v] != -1:
+            without_v = [() if u == v else [w for w in a if w != v] for u, a in enumerate(adj)]
+            if _augmenting_matcher(n, without_v, enough=nu)[1] < nu:
+                continue
+        missable |= 1 << v
+        neighbours |= g.adj_masks[v]
     s = frozenset(v for v in range(n) if (neighbours & ~missable) >> v & 1)
     o = odd_components(g, s)
     if n - o + len(s) != 2 * nu:

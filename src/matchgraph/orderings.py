@@ -70,15 +70,13 @@ def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
         )
     degs = [g.degrees[v] for v in order.perm]
     top_degree = degs[r - 2]
-    next_degree = degs[r - 1] if r - 1 < g.n else None
+    next_degree = degs[r - 1]
     threshold = max(girth / 2, (top_degree + 1) / 4)
     ratio_ok = r <= threshold
-    parity_ok = top_degree % 2 == 0 or (
-        next_degree is not None and top_degree > next_degree
-    )
+    parity_ok = top_degree % 2 == 0 or top_degree > next_degree
     odd_top = sum(1 for d in degs[: r - 1] if d % 2 == 1)
     sum_top = sum(degs[: r - 1])
-    applicable = connected and r >= 2 and ratio_ok and parity_ok and next_degree is not None
+    applicable = connected and ratio_ok and parity_ok
     return StarFormulaReport(
         r, connected, girth, order, True, top_degree, next_degree,
         threshold, ratio_ok, parity_ok, odd_top, sum_top,

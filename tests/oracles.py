@@ -37,23 +37,6 @@ def brute_canonical_form(g: Graph) -> int:
     )
 
 
-def brute_neighbourhood_orbits(g: Graph) -> set[frozenset[int]]:
-    """Orbits of the nonempty vertex masks of g under Aut(g), with the
-    automorphisms picked out of all n! vertex permutations."""
-    edges = set(g.edges)
-    automorphisms = [
-        perm for perm in permutations(range(g.n))
-        if all(tuple(sorted((perm[u], perm[v]))) in edges for u, v in g.edges)
-    ]
-    return {
-        frozenset(
-            sum(1 << perm[u] for u in range(g.n) if mask >> u & 1)
-            for perm in automorphisms
-        )
-        for mask in range(1, 1 << g.n)
-    }
-
-
 def nx_matching_size(g: Graph) -> int:
     return len(nx.max_weight_matching(to_networkx(g), maxcardinality=True))
 

@@ -11,6 +11,7 @@ from matchgraph import (
     make_complete_bipartite,
     make_cycle,
     make_disjoint_matching,
+    matching,
     matching_number,
     max_matching,
     odd_components,
@@ -88,6 +89,22 @@ def test_tutte_berge_beyond_exhaustive_range():
         assert w.nu == matching_number(g)
         assert w.s == s
         assert g.n - odd_components(g, w.s) + len(w.s) == 2 * w.nu
+
+
+def test_tutte_berge_reruns_the_matcher_only_for_covered_vertices(monkeypatch):
+    # exposed vertices are in D by definition, so a host of one 2-edge path
+    # and 37 isolated vertices needs 2 nu + 1 = 3 matcher calls, not n + 1
+    calls = []
+    real = matching._augmenting_matcher
+
+    def spy(n, adj, enough=None):
+        calls.append(enough)
+        return real(n, adj, enough)
+
+    monkeypatch.setattr(matching, "_augmenting_matcher", spy)
+    w = tutte_berge(Graph(40, ((0, 1), (1, 2))))
+    assert (w.s, w.nu, w.deficiency) == (frozenset({1}), 1, 38)
+    assert calls == [None, 1, 1]
 
 
 def test_enumerate_matchings_examples():

@@ -1,11 +1,8 @@
 import hashlib
 import random
-from itertools import accumulate
-
-import pytest
+from collections import Counter
 
 from matchgraph import (
-    CertificateError,
     Graph,
     is_connected,
     make_complete,
@@ -13,14 +10,8 @@ from matchgraph import (
     make_cycle,
     smallgraphs,
 )
-from matchgraph.smallgraphs import (
-    _labelling_walk,
-    _neighbourhood_representatives,
-    _order_map,
-    canonical_form,
-    connected_graphs_up_to,
-)
-from tests.oracles import brute_canonical_form, brute_neighbourhood_orbits, random_graph
+from matchgraph.smallgraphs import canonical_form, connected_graphs_up_to
+from tests.oracles import brute_canonical_form, random_graph
 
 # counts of connected graphs up to isomorphism by vertex count (OEIS A001349)
 EXPECTED = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
@@ -79,40 +70,19 @@ def test_canonical_form_matches_brute_force():
         assert canonical_form(g) == brute_canonical_form(g), g
 
 
-def test_walk_maps_are_automorphisms_and_orbits_match_brute_force():
-    representatives = [0] * 8  # by order of the grown graphs
-    for h in connected_graphs_up_to(6):
-        maps = []
-        _labelling_walk(h, maps)
-        for perm in maps:
-            image = {tuple(sorted((perm[u], perm[v]))) for u, v in h.edges}
-            assert image == set(h.edges), (h.edges, perm)
-        reps = _neighbourhood_representatives(h)
-        orbits = brute_neighbourhood_orbits(h)
-        assert len(reps) == len(orbits), h.edges
-        assert {next(o for o in orbits if mask in o) for mask in reps} == orbits
-        representatives[h.n + 1] += len(reps)
-    assert list(accumulate(representatives[2:])) == [1, 3, 11, 55, 388, 4159]
-
-
-def test_order_map_rejects_a_non_automorphism():
-    path3 = Graph(3, ((0, 1), (1, 2)))
-    assert _order_map(path3.adj_masks, (0, 2), (2, 0)) == (2, 1, 0)
-    with pytest.raises(CertificateError):
-        _order_map(path3.adj_masks, (0, 1), (1, 0))
-
-
-def test_generation_canonicalises_one_child_per_orbit(monkeypatch):
-    calls = []
+def test_generation_canonical_forms_per_order(monkeypatch):
+    calls = Counter()
 
     def spy(g):
-        calls.append(g)
+        calls[g.n] += 1
         return canonical_form(g)
 
     monkeypatch.setattr(smallgraphs, "canonical_form", spy)
     assert len(list(connected_graphs_up_to(7))) == 996
-    # every nonempty neighbourhood of the 143 parents would give 7815
-    assert len(calls) == 4159
+    # children whose new vertex has the least degree among the non-cut
+    # vertices; every nonempty neighbourhood of the 143 parents would give 7815
+    assert calls == {2: 1, 3: 3, 4: 11, 5: 53, 6: 296, 7: 2432}
+    assert sum(calls.values()) == 2796
 
 
 def test_generation_pinned():

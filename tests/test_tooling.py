@@ -56,10 +56,10 @@ def test_no_name_defined_in_two_modules():
     assert {name: mods for name, mods in where.items() if len(mods) > 1} == {}
 
 
-def test_every_private_definition_is_referenced():
-    # a private helper that nothing names is left over from deleted code
+def _referenced_names(paths):
+    """Every name, attribute and imported name that the given files mention."""
     referenced = set()
-    for path in SRC.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -67,9 +67,28 @@ def test_every_private_definition_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name)
+    return referenced
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper that nothing names is left over from deleted code
+    referenced = _referenced_names(SRC.glob("*.py"))
     unused = [
         f"{module}:{name}"
         for module, name in _module_level_definitions()
         if name.startswith("_") and name not in referenced
     ]
     assert unused == []
+
+
+def test_every_oracle_is_used():
+    # an oracle that no test and no other oracle names checks nothing
+    tests = Path(__file__).parent
+    defined = [
+        node.name
+        for node in ast.parse((tests / "oracles.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    referenced = _referenced_names(tests.glob("*.py"))
+    assert len(defined) > 10
+    assert [name for name in defined if name not in referenced] == []
