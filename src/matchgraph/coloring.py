@@ -2,7 +2,10 @@
 
 The solver is a DSATUR-style branch and bound: vertices are colored in
 order of saturation degree, a greedy clique seeds the lower bound, and a
-node budget guards against runaway searches.  When the budget runs out the
+node budget guards against runaway searches.  The clique search stops at
+min(ub, packing bound): no clique has more vertices than the start
+coloring has colors or, on a general Kneser graph, than the ground set
+size over the smallest hyperedge size.  When the budget runs out the
 result is an explicit [lb, ub] interval, never a wrong exact claim.  A
 caller holding an external lower bound (for instance an alternation bound
 on a matching graph) can pass it in together with a starting coloring,
@@ -57,13 +60,16 @@ def is_proper(g: Graph | KneserGraph, coloring: Sequence[int]) -> bool:
     return not any(masks[v] & classes[c] for v, c in enumerate(coloring))
 
 
-def greedy_clique(g: Graph | KneserGraph) -> tuple[int, ...]:
+def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, ...]:
     """Deterministic greedy clique, used as an initial chromatic lower bound.
 
     Vertices are ranked by (-degree, index).  From each start vertex the
     clique grows by the best-ranked vertex adjacent to all members so far;
     the largest clique, first found on ties, wins.  The masks are relabelled
     by rank, so the best-ranked common neighbour is the lowest set bit.
+    ``cap``, an upper bound on the clique number, ends the search once the
+    best clique reaches it: no later start can beat that clique, so the
+    result is the same as without it.
     """
     n = g.n
     if n == 0:
@@ -79,8 +85,10 @@ def greedy_clique(g: Graph | KneserGraph) -> tuple[int, ...]:
     matrix = "".join([bin(masks[v] | top)[:2:-1] for v in reversed(order)])
     ranked = [int(matrix[v::n], 2) for v in order]
     best: tuple[int, ...] = (0,)
+    if cap is None:
+        cap = n
     for start, common in enumerate(ranked):
-        if degrees[order[start]] < len(best):
+        if len(best) >= cap or degrees[order[start]] < len(best):
             break  # no later start has room for a larger clique
         clique = [start]
         while common:
@@ -148,11 +156,6 @@ def chromatic_number(
     if n == 0:
         return ChromaticCertificate(0, (), ("empty", None), True, (0, 0), 0)
 
-    clique = greedy_clique(g)
-    lb = max(len(clique), 1)
-    if known_lower is not None:
-        lb = max(lb, known_lower)
-
     if initial_coloring is not None:
         start = tuple(initial_coloring)
         if not is_proper(g, start):
@@ -161,6 +164,15 @@ def chromatic_number(
         start = _greedy_dsatur(g)
     ub = len(set(start))
     best_coloring = start
+
+    # A clique of a general Kneser graph is a set of pairwise-disjoint hyperedges.
+    cap = ub
+    if isinstance(g, KneserGraph):
+        cap = min(cap, g.source.ground_n // min(map(len, g.source.hyperedges)))
+    clique = greedy_clique(g, cap)
+    lb = max(len(clique), 1)
+    if known_lower is not None:
+        lb = max(lb, known_lower)
 
     def check_known_lower():
         if known_lower is not None and ub < known_lower:

@@ -116,7 +116,7 @@ def matching_hypergraph(g: Graph, r: int) -> Hypergraph:
     """Hypergraph on the edge indices of g whose hyperedges are the r-matchings."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    return Hypergraph(g.m, tuple(m.edges for m in enumerate_matchings(g, r)))
+    return Hypergraph(g.m, tuple(enumerate_matchings(g, r)))
 
 
 def matching_graph(g: Graph, r: int) -> KneserGraph:

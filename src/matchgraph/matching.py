@@ -1,5 +1,6 @@
-"""Matching-number machinery: maximum matchings, Tutte-Berge certificates,
-r-matching enumeration and existence tests."""
+"""Matching-number machinery: maximum matchings (validated ``Matching``s),
+Tutte-Berge certificates, r-matching enumeration (plain sorted edge-index
+tuples, checked by the enumerator's own disjointness test) and existence tests."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CertificateError
-from .graphs import Graph, odd_components
+from .graphs import Graph, _bits, odd_components
 
 
 @dataclass(frozen=True)
@@ -127,14 +128,15 @@ def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], enough: int | None
     for v in range(n):
         if enough is not None and size >= enough:
             break
-        if match[v] == -1 and find_path(v):
+        # An exposed vertex without neighbours roots no augmenting path.
+        if match[v] == -1 and adj[v] and find_path(v):
             size += 1
     return match, size
 
 
-def _neighbour_lists(g: Graph) -> list[list[int]]:
+def _neighbour_lists(g: Graph) -> list[tuple[int, ...]]:
     """Ascending neighbour lists, the matcher's input form."""
-    return [[w for w in range(g.n) if mask >> w & 1] for mask in g.adj_masks]
+    return [_bits(mask) for mask in g.adj_masks]
 
 
 def max_matching(g: Graph) -> Matching:
@@ -221,18 +223,19 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
 # r-matching enumeration.
 # ---------------------------------------------------------------------------
 
-def enumerate_matchings(g: Graph, r: int) -> list[Matching]:
-    """All r-edge matchings, each once, lexicographic by edge-index set."""
+def enumerate_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
+    """All r-edge matchings as sorted edge-index tuples, each once, in
+    lexicographic order."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    out: list[Matching] = []
+    out: list[tuple[int, ...]] = []
     vm = g.edge_vertex_masks
     m = g.m
     chosen: list[int] = []
 
     def extend(start: int, used: int):
         if len(chosen) == r:
-            out.append(Matching(g, tuple(chosen)))
+            out.append(tuple(chosen))
             return
         # Not enough edges left to finish.
         for e in range(start, m - (r - len(chosen)) + 1):

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 
@@ -335,6 +337,32 @@ def test_cmd_analyze_search_path_pinned(tmp_path, monkeypatch):
     assert res["chi_interval"] == [15, 16] and res["search_nodes"] == 2001
     assert report["determinism_sha256"] == (
         "43b62481154188164fc8763afa5a423e248b44531d40ab4d7e7e9407e0087ad0"
+    )
+
+
+def test_cmd_analyze_random_hosts_pinned(tmp_path, monkeypatch):
+    # Twelve seeded random connected hosts shaped like the analyze-r2
+    # benchmark's (12-17 vertices, 16-30 edges, node budget 2000), each
+    # written to a relative path; one sha over their determinism hashes.
+    monkeypatch.chdir(tmp_path)
+    rng = random.Random(2024)
+    hashes = []
+    for i in range(12):
+        n = rng.randint(12, 17)
+        m = rng.randint(16, 30)
+        order = list(range(n))
+        rng.shuffle(order)
+        edges = {tuple(sorted((order[k], order[rng.randrange(k)]))) for k in range(1, n)}
+        while len(edges) < m:
+            edges.add(tuple(sorted(rng.sample(range(n), 2))))
+        path = tmp_path / f"host{i:02d}.txt"
+        path.write_text(
+            f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)), encoding="ascii"
+        )
+        report = cmd_analyze(path.name, 2, ordering="euler", node_budget=2000)
+        hashes.append(report["determinism_sha256"])
+    assert hashlib.sha256("".join(hashes).encode()).hexdigest() == (
+        "4c25eb4334b34ad3be5a79717cbffdd9e4159cc9f56797ccb56bb9cbfa18520b"
     )
 
 

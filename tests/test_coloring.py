@@ -132,6 +132,27 @@ def test_greedy_clique_matches_scan_oracle():
         assert greedy_clique(g) == greedy_clique_by_scan(g)
 
 
+def test_capped_greedy_clique_matches_scan_oracle():
+    # caps: the packing bound |E| // r and the colour count of the proper
+    # colouring built from an extremal rK2-free edge set
+    rng = random.Random(47)
+    compared = 0
+    for _ in range(40):
+        host = random_graph(rng, rng.randint(4, 8), rng.uniform(0.3, 0.8))
+        for r in (1, 2, 3):
+            kg = matching_graph(host, r)
+            if kg.n == 0:
+                continue
+            coloring = coloring_from_extremal(kg.source, turan_matchings(host, r).extremal_edges)
+            assert proper_by_edges(kg.graph, coloring)
+            expected = greedy_clique_by_scan(kg.graph)
+            for cap in (host.m // r, len(set(coloring))):
+                assert len(expected) <= cap
+                assert greedy_clique(kg, cap) == expected
+            compared += 1
+    assert compared >= 90
+
+
 def test_is_proper_matches_edge_definition():
     rng = random.Random(37)
     seen = set()

@@ -107,6 +107,22 @@ def test_tutte_berge_reruns_the_matcher_only_for_covered_vertices(monkeypatch):
     assert calls == [None, 1, 1]
 
 
+def test_tutte_berge_on_a_sparse_host():
+    # one 2-edge path and 3997 isolated vertices
+    w = tutte_berge(Graph(4000, ((0, 1), (1, 2))))
+    assert (w.s, w.nu, w.deficiency) == (frozenset({1}), 1, 3998)
+
+
+def test_neighbour_lists_match_bit_scan():
+    rng = random.Random(43)
+    for _ in range(100):
+        g = random_graph(rng, rng.randint(0, 30), rng.random())
+        lists = matching._neighbour_lists(g)
+        assert [list(a) for a in lists] == [
+            [w for w in range(g.n) if mask >> w & 1] for mask in g.adj_masks
+        ]
+
+
 def test_enumerate_matchings_examples():
     assert len(enumerate_matchings(make_cycle(5), 2)) == 5
     assert len(enumerate_matchings(make_cycle(7), 3)) == 7
@@ -120,7 +136,7 @@ def test_enumerate_matchings_lex_and_complete():
     for _ in range(40):
         g = random_graph(rng, rng.randint(2, 8), rng.random())
         r = rng.randint(1, 3)
-        mine = [m.edges for m in enumerate_matchings(g, r)]
+        mine = enumerate_matchings(g, r)
         assert mine == sorted(mine)
         assert mine == brute_matchings(g, r)
 
