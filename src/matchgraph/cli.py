@@ -518,6 +518,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "max_nodes", 0) < 0:
+            raise ValueError(f"--max-nodes must be at least 0, got {args.max_nodes}")
         if args.cmd == "schrijver":
             report = cmd_schrijver(args.n, args.r, node_budget=args.max_nodes)
         elif args.cmd == "permutation":

@@ -3,10 +3,12 @@
 The solver is a DSATUR-style branch and bound: vertices are colored in
 order of saturation degree, a greedy clique seeds the lower bound, and a
 node budget guards against runaway searches.  The clique search stops at
-min(ub, packing bound): no clique has more vertices than the start
+cap = min(ub, packing bound): no clique has more vertices than the start
 coloring has colors or, on a general Kneser graph, than the ground set
-size over the smallest hyperedge size.  When the budget runs out the
-result is an explicit [lb, ub] interval, never a wrong exact claim.  A
+size over the smallest hyperedge size.  When an external lower bound
+exceeds cap, no clique can bind, so none is sought.  When the budget runs
+out the result is an explicit [lb, ub] interval, never a wrong exact
+claim.  A
 caller holding an external lower bound (for instance an alternation bound
 on a matching graph) can pass it in together with a starting coloring,
 which lets the search terminate as soon as the bound is met.
@@ -150,7 +152,10 @@ def chromatic_number(
     ``known_lower`` must be a sound lower bound; it is trusted and recorded
     as an "external" witness when it ends up being the binding one.  A
     proper coloring with fewer colors (supplied, greedy or found by the
-    search) contradicts it and raises CertificateError.
+    search) contradicts it and raises CertificateError.  The greedy clique
+    runs only when it can reach ``known_lower``: its size is at most
+    min(ub, packing bound), and a smaller clique neither raises the lower
+    bound nor becomes the witness.
     """
     n = g.n
     if n == 0:
@@ -169,7 +174,8 @@ def chromatic_number(
     cap = ub
     if isinstance(g, KneserGraph):
         cap = min(cap, g.source.ground_n // min(map(len, g.source.hyperedges)))
-    clique = greedy_clique(g, cap)
+    # Below an external bound the clique can neither raise lb nor be the witness.
+    clique = greedy_clique(g, cap) if known_lower is None or cap >= known_lower else ()
     lb = max(len(clique), 1)
     if known_lower is not None:
         lb = max(lb, known_lower)

@@ -8,7 +8,7 @@ whose hyperedges are the r-edge matchings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .graphs import Graph
@@ -21,33 +21,39 @@ class Hypergraph:
 
     Hyperedges are stored as sorted tuples; their list position is a stable
     index, which the Kneser construction inherits as vertex numbering.
+    ``masks`` holds them as bitmasks, built in the loop that checks them.
     """
 
     ground_n: int
     hyperedges: tuple[tuple[int, ...], ...]
+    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.ground_n < 0:
             raise ValueError("ground set size must be nonnegative")
-        canon = tuple(tuple(sorted(set(e))) for e in self.hyperedges)
-        object.__setattr__(self, "hyperedges", canon)
+        canon = []
+        masks = []
         seen = set()
-        for e in canon:
+        for e in self.hyperedges:
+            e = tuple(sorted(set(e)))
             if not e:
                 raise ValueError("empty hyperedge")
             if e[0] < 0 or e[-1] >= self.ground_n:
                 raise ValueError(f"hyperedge {e} out of ground range")
-            if e in seen:
+            mask = 0
+            for v in e:
+                mask |= 1 << v
+            if mask in seen:
                 raise ValueError(f"duplicate hyperedge {e}")
-            seen.add(e)
+            seen.add(mask)
+            canon.append(e)
+            masks.append(mask)
+        object.__setattr__(self, "hyperedges", tuple(canon))
+        object.__setattr__(self, "masks", tuple(masks))
 
     @property
     def k(self) -> int:
         return len(self.hyperedges)
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << v for v in e) for e in self.hyperedges)
 
     @cached_property
     def masks_through(self) -> tuple[tuple[int, ...], ...]:

@@ -1,6 +1,7 @@
 """Matching-number machinery: maximum matchings (validated ``Matching``s),
-Tutte-Berge certificates, r-matching enumeration (plain sorted edge-index
-tuples, checked by the enumerator's own disjointness test) and existence tests."""
+Tutte-Berge certificates (one matcher run plus one blossom search per
+exposed vertex), r-matching enumeration (plain sorted edge-index tuples,
+checked by the enumerator's own disjointness test) and existence tests."""
 
 from __future__ import annotations
 
@@ -47,6 +48,76 @@ class TutteBergeWitness:
 # Maximum matching (augmenting paths with blossom contraction).
 # ---------------------------------------------------------------------------
 
+def _lca(match, base, p, a, b):
+    """Base of the blossom that closes at the edge between outer vertices a and b."""
+    seen = set()
+    while True:
+        a = base[a]
+        seen.add(a)
+        if match[a] == -1:
+            break
+        a = p[match[a]]
+    while True:
+        b = base[b]
+        if b in seen:
+            return b
+        b = p[match[b]]
+
+
+def _mark_path(match, base, p, v, b, child, blossom):
+    while base[v] != b:
+        blossom[base[v]] = True
+        blossom[base[match[v]]] = True
+        p[v] = child
+        child = match[v]
+        v = p[match[v]]
+
+
+def _blossom_search(adj: Sequence[Sequence[int]], match: list[int], root: int):
+    """Edmonds' search for an augmenting path from the exposed vertex `root`.
+
+    When it finds one, it flips `match` along it and returns None.  Else
+    it returns the outer flags of the failed search, one per vertex: v's
+    flag is True exactly when an even alternating path runs from root to v.
+    """
+    n = len(adj)
+    used = [False] * n
+    p = [-1] * n
+    base = list(range(n))
+    used[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                curbase = _lca(match, base, p, v, to)
+                blossom = [False] * n
+                _mark_path(match, base, p, v, curbase, to, blossom)
+                _mark_path(match, base, p, to, curbase, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    u = to
+                    while u != -1:
+                        pv = p[u]
+                        ppv = match[pv]
+                        match[u] = pv
+                        match[pv] = u
+                        u = ppv
+                    return None
+                used[match[to]] = True
+                queue.append(match[to])
+    return used
+
+
 def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], enough: int | None = None):
     """Match array of a maximum matching; stops early once the matching has `enough` edges."""
     match = [-1] * n
@@ -59,77 +130,11 @@ def _augmenting_matcher(n: int, adj: Sequence[Sequence[int]], enough: int | None
                     match[w] = v
                     size += 1
                     break
-    if enough is not None and size >= enough:
-        return match, size
-
-    p = [-1] * n
-    base = list(range(n))
-
-    def lca(a, b):
-        seen = [False] * n
-        while True:
-            a = base[a]
-            seen[a] = True
-            if match[a] == -1:
-                break
-            a = p[match[a]]
-        while True:
-            b = base[b]
-            if seen[b]:
-                return b
-            b = p[match[b]]
-
-    def mark_path(v, b, child, blossom):
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
-            p[v] = child
-            child = match[v]
-            v = p[match[v]]
-
-    def find_path(root):
-        nonlocal p, base
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    curbase = lca(v, to)
-                    blossom = [False] * n
-                    mark_path(v, curbase, to, blossom)
-                    mark_path(to, curbase, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        u = to
-                        while u != -1:
-                            pv = p[u]
-                            ppv = match[pv]
-                            match[u] = pv
-                            match[pv] = u
-                            u = ppv
-                        return True
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return False
-
     for v in range(n):
         if enough is not None and size >= enough:
             break
         # An exposed vertex without neighbours roots no augmenting path.
-        if match[v] == -1 and adj[v] and find_path(v):
+        if match[v] == -1 and adj[v] and _blossom_search(adj, match, v) is None:
             size += 1
     return match, size
 
@@ -191,25 +196,37 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
     """Witness S attaining min over all S of |V| - o(G-S) + |S|.
 
     S is the Gallai-Edmonds set N(D) minus D, where D is the set of vertices
-    missed by some maximum matching, i.e. those v with nu(G - v) = nu(G).
-    The set is unique, so the witness is canonical.  A vertex that the
-    found maximum matching leaves exposed is in D, so the matcher runs
-    again only for the 2 nu covered vertices.  The Tutte-Berge equality
+    missed by some maximum matching.  The set is unique, so the witness is
+    canonical.  With one maximum matching M in hand, D is the set of
+    vertices that an even M-alternating path joins to an M-exposed vertex
+    (Gallai-Edmonds), and the failed blossom search from an exposed vertex
+    marks outer exactly the vertices such a path joins to it.  So the
+    matcher runs once, then one search runs from each exposed vertex that
+    has a neighbour; a search that augments contradicts the matcher and
+    raises CertificateError.  The Tutte-Berge equality
     |V| - o(G-S) + |S| = 2 nu is checked explicitly: together with the
     matching it certifies the matching number.
     """
     n = g.n
     adj = _neighbour_lists(g)
     match, nu = _augmenting_matcher(n, adj)
-    missable = neighbours = 0  # D and the neighbours of D, as bitmasks
+    missable = 0  # D as a bitmask
     for v in range(n):
         if match[v] != -1:
-            without_v = [() if u == v else [w for w in a if w != v] for u, a in enumerate(adj)]
-            if _augmenting_matcher(n, without_v, enough=nu)[1] < nu:
-                continue
-        missable |= 1 << v
+            continue
+        if adj[v]:
+            outer = _blossom_search(adj, match, v)
+            if outer is None:
+                raise CertificateError(
+                    f"an augmenting path from vertex {v} contradicts the matcher's nu = {nu}"
+                )
+            missable |= sum(1 << w for w in range(n) if outer[w])
+        else:
+            missable |= 1 << v
+    neighbours = 0
+    for v in _bits(missable):
         neighbours |= g.adj_masks[v]
-    s = frozenset(v for v in range(n) if (neighbours & ~missable) >> v & 1)
+    s = frozenset(_bits(neighbours & ~missable))
     o = odd_components(g, s)
     if n - o + len(s) != 2 * nu:
         raise CertificateError(

@@ -101,6 +101,20 @@ def exhaustive_tutte_berge(g: Graph) -> tuple[int, frozenset[int]]:
     return best_val, frozenset(v for v in range(n) if best_s >> v & 1)
 
 
+def gallai_edmonds_s_by_deletion(g: Graph) -> frozenset[int]:
+    """The Gallai-Edmonds set N(D) minus D by its definition: D holds the
+    vertices v with nu(G - v) = nu(G), one networkx matching per vertex."""
+    host = to_networkx(g)
+    nu = len(nx.max_weight_matching(host, maxcardinality=True))
+    missable = set()
+    for v in range(g.n):
+        rest = host.copy()
+        rest.remove_node(v)
+        if len(nx.max_weight_matching(rest, maxcardinality=True)) == nu:
+            missable.add(v)
+    return frozenset(w for v in missable for w in host[v] if w not in missable)
+
+
 def line_graph_independent_count(g: Graph, r: int) -> int:
     """Number of size-r independent sets in the line graph of g."""
     lg = nx.line_graph(to_networkx(g))

@@ -17,6 +17,7 @@ from matchgraph import (
     make_disjoint_matching,
 )
 from matchgraph.cli import (
+    EXIT_INTERVAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VIOLATION,
@@ -174,6 +175,23 @@ def test_cmd_scan_rejects_max_n_below_one(capsys):
             cmd_scan(max_n, 2)
         assert main(["scan", "--max-n", str(max_n), "--r", "2"]) == EXIT_USAGE
         assert "max_n" in capsys.readouterr().err
+
+
+def test_negative_max_nodes_rejected(tmp_path, capsys):
+    path = tmp_path / "c5.txt"
+    path.write_text(format_graph(make_cycle(5)), encoding="ascii")
+    for argv in (
+        ["schrijver", "--n", "5", "--r", "2"],
+        ["permutation", "--m", "2", "--n", "2", "--r", "2"],
+        ["scan", "--max-n", "3"],
+        ["analyze", str(path), "--r", "2"],
+    ):
+        assert main(argv + ["--max-nodes", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--max-nodes" in captured.err and captured.out == ""
+        # a zero budget still runs and reports
+        assert main(argv + ["--max-nodes", "0"]) in (EXIT_OK, EXIT_INTERVAL)
+        capsys.readouterr()
 
 
 def test_cmd_scan_writes_jsonl(tmp_path):

@@ -7,8 +7,10 @@ from matchgraph import (
     Graph,
     Hypergraph,
     chromatic_number,
+    coloring,
     coloring_from_extremal,
     export_dimacs,
+    format_graph,
     general_kneser,
     greedy_clique,
     is_proper,
@@ -20,11 +22,13 @@ from matchgraph import (
     star_lower_bound,
     turan_matchings,
 )
+from matchgraph.cli import cmd_analyze
 
 from tests.oracles import (
     chromatic_by_backtracking,
     greedy_clique_by_scan,
     proper_by_edges,
+    random_connected_graph,
     random_graph,
     random_hypergraph,
 )
@@ -250,3 +254,37 @@ def test_chi_at_most_edges_minus_ex():
 def test_export_dimacs():
     text = export_dimacs(make_cycle(3))
     assert text == "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
+
+
+def _analyze_with_clique_spy(monkeypatch, tmp_path, g):
+    calls = []
+    real = coloring.greedy_clique
+
+    def spy(kg, cap=None):
+        calls.append(cap)
+        return real(kg, cap)
+
+    monkeypatch.setattr(coloring, "greedy_clique", spy)
+    path = tmp_path / "host.txt"
+    path.write_text(format_graph(g), encoding="ascii")
+    return cmd_analyze(str(path), 2, node_budget=20_000)["results"], calls
+
+
+def test_clique_seed_skipped_below_the_alternation_bound(monkeypatch, tmp_path):
+    # an analyze-r2-shaped host: a clique of KG(G, 2K2) has at most m // 2
+    # vertices, fewer than the alternation bound, so it cannot be the witness
+    g = random_connected_graph(random.Random(1), 13, 0.15)
+    res, calls = _analyze_with_clique_spy(monkeypatch, tmp_path, g)
+    assert res["alternation_chi_lower"] > g.m // 2
+    assert calls == []
+    assert res["lower_witness"] == {"kind": "external", "value": "alternation bound"}
+    assert res["chi"] == res["alternation_chi_lower"]
+
+
+def test_clique_seed_kept_where_it_is_the_witness(monkeypatch, tmp_path):
+    # KG(K_4, 2K2) is a triangle; the Euler ordering's bound is 2
+    res, calls = _analyze_with_clique_spy(monkeypatch, tmp_path, make_complete(4))
+    assert res["alternation_chi_lower"] == 2
+    assert calls == [3]
+    assert res["lower_witness"] == {"kind": "clique", "value": [0, 1, 2]}
+    assert res["chi"] == 3

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from matchgraph import (
+    CertificateError,
     Graph,
     Matching,
     edge_subset_has_r_matching,
@@ -22,6 +23,7 @@ from tests.oracles import (
     brute_has_r_matching,
     brute_matchings,
     exhaustive_tutte_berge,
+    gallai_edmonds_s_by_deletion,
     line_graph_independent_count,
     nx_matching_size,
     random_graph,
@@ -91,20 +93,58 @@ def test_tutte_berge_beyond_exhaustive_range():
         assert g.n - odd_components(g, w.s) + len(w.s) == 2 * w.nu
 
 
-def test_tutte_berge_reruns_the_matcher_only_for_covered_vertices(monkeypatch):
-    # exposed vertices are in D by definition, so a host of one 2-edge path
-    # and 37 isolated vertices needs 2 nu + 1 = 3 matcher calls, not n + 1
+def test_tutte_berge_runs_the_matcher_once(monkeypatch):
+    # one matcher run, then one failed search from each exposed vertex that
+    # has a neighbour: on one 2-edge path and 37 isolated vertices the
+    # matcher's own search from vertex 2 and the witness's search from it
     calls = []
-    real = matching._augmenting_matcher
+    roots = []
+    real_matcher = matching._augmenting_matcher
+    real_search = matching._blossom_search
 
-    def spy(n, adj, enough=None):
+    def spy_matcher(n, adj, enough=None):
         calls.append(enough)
-        return real(n, adj, enough)
+        return real_matcher(n, adj, enough)
 
-    monkeypatch.setattr(matching, "_augmenting_matcher", spy)
+    def spy_search(adj, match, root):
+        roots.append(root)
+        return real_search(adj, match, root)
+
+    monkeypatch.setattr(matching, "_augmenting_matcher", spy_matcher)
+    monkeypatch.setattr(matching, "_blossom_search", spy_search)
     w = tutte_berge(Graph(40, ((0, 1), (1, 2))))
     assert (w.s, w.nu, w.deficiency) == (frozenset({1}), 1, 38)
-    assert calls == [None, 1, 1]
+    assert calls == [None]
+    assert roots == [2, 2]
+
+
+def test_tutte_berge_rejects_a_matching_that_is_not_maximum(monkeypatch):
+    # a matcher that stops at its greedy seed leaves the augmenting path 0-1-2-3
+    monkeypatch.setattr(matching, "_augmenting_matcher", lambda n, adj: ([-1, 2, 1, -1], 1))
+    with pytest.raises(CertificateError):
+        tutte_berge(Graph(4, ((0, 1), (1, 2), (2, 3))))
+
+
+def _blossom_hosts():
+    yield from (make_cycle(k) for k in range(5, 10))
+    yield make_complete(5)
+    yield make_complete(7)
+    yield PETERSEN
+    # two triangles joined by a path of length 3
+    yield Graph(8, ((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 7)))
+    # C_7 with a pendant edge at three of its vertices
+    yield Graph(10, make_cycle(7).edges + ((0, 7), (2, 8), (4, 9)))
+    # C_5 with two pendant edges at one vertex
+    yield Graph(7, make_cycle(5).edges + ((0, 5), (0, 6)))
+
+
+def test_gallai_edmonds_set_matches_deletion_definition():
+    for g in _blossom_hosts():
+        assert tutte_berge(g).s == gallai_edmonds_s_by_deletion(g), g.edges
+    rng = random.Random(29)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 12), rng.random())
+        assert tutte_berge(g).s == gallai_edmonds_s_by_deletion(g), g.edges
 
 
 def test_tutte_berge_on_a_sparse_host():
