@@ -79,6 +79,6 @@ from .orderings import (
     star_formula_conditions,
     verify_locally_eulerian,
 )
-from .turan import TuranCertificate, star_lower_bound, turan_matchings
+from .turan import TuranCertificate, turan_matchings
 
 __version__ = "0.1.0"

@@ -146,15 +146,12 @@ def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):
             "chi_lower": alternation_chi_lower(g.m, ea, es),
         }
         lb = max(lb, bound_details[name]["chi_lower"])
-    initial = None
-    if ex_cert.exact:
-        initial = coloring_from_extremal(kg.source, ex_cert.extremal_edges)
     cert = chromatic_number(
         kg,
         node_budget=node_budget,
-        known_lower=lb if lb > 0 else None,
+        known_lower=lb,
         known_lower_label="alternation bound",
-        initial_coloring=initial,
+        initial_coloring=coloring_from_extremal(kg.source, ex_cert.extremal_edges),
     )
     return kg, cert, lb, bound_details
 
@@ -325,7 +322,7 @@ def cmd_analyze(
     report = {
         "schema": SCHEMA,
         "command": "analyze",
-        "inputs": {"path": path, "r": r, "graph_sha256": _graph_sha(g)},
+        "inputs": {"r": r, "graph_sha256": _graph_sha(g)},
         "results": results,
         "exactness": exactness,
     }

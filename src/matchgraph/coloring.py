@@ -2,16 +2,18 @@
 
 The solver is a DSATUR-style branch and bound: vertices are colored in
 order of saturation degree, a greedy clique seeds the lower bound, and a
-node budget guards against runaway searches.  The clique search stops at
-cap = min(ub, packing bound): no clique has more vertices than the start
-coloring has colors or, on a general Kneser graph, than the ground set
-size over the smallest hyperedge size.  When an external lower bound
-exceeds cap, no clique can bind, so none is sought.  When the budget runs
-out the result is an explicit [lb, ub] interval, never a wrong exact
-claim.  A
-caller holding an external lower bound (for instance an alternation bound
-on a matching graph) can pass it in together with a starting coloring,
-which lets the search terminate as soon as the bound is met.
+node budget guards against runaway searches.  A caller holding an
+external lower bound (for instance an alternation bound on a matching
+graph) can pass it in together with a start coloring, which lets the
+search end as soon as the bound is met; without one the search starts
+from one color per vertex, and its first descent is the greedy DSATUR
+coloring.  The clique search stops at cap = min(ub, packing bound): no
+clique has more vertices than the start coloring has colors or, on a
+general Kneser graph, than the ground set size over the smallest
+hyperedge size.  When an external lower bound exceeds cap, no clique can
+bind, so none is sought.  One rule names the lower witness, exact or not.
+When the budget runs out the result is an explicit [lb, ub] interval,
+never a wrong exact claim.
 """
 
 from __future__ import annotations
@@ -41,14 +43,6 @@ class ChromaticCertificate:
     exact: bool
     bounds: tuple[int, int]
     nodes: int
-
-    @property
-    def lb(self) -> int:
-        return self.bounds[0]
-
-    @property
-    def ub(self) -> int:
-        return self.bounds[1]
 
 
 def is_proper(g: Graph | KneserGraph, coloring: Sequence[int]) -> bool:
@@ -102,28 +96,6 @@ def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, 
     return tuple(sorted(order[p] for p in best))
 
 
-def _greedy_dsatur(g: Graph | KneserGraph) -> tuple[int, ...]:
-    n = g.n
-    masks = g.adj_masks
-    colors = [-1] * n
-    forbidden = [0] * n
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (forbidden[u].bit_count(), g.degrees[u], -u),
-        )
-        c = 0
-        while forbidden[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        nb = masks[v]
-        while nb:
-            bit = nb & -nb
-            nb ^= bit
-            forbidden[bit.bit_length() - 1] |= 1 << c
-    return tuple(colors)
-
-
 def _canonicalize(coloring: Sequence[int]) -> tuple[int, ...]:
     remap: dict[int, int] = {}
     out = []
@@ -149,13 +121,16 @@ def chromatic_number(
 
     The value (not the coloring) is deterministic across runs.  On budget
     exhaustion the certificate carries ``exact=False`` and sound bounds.
-    ``known_lower`` must be a sound lower bound; it is trusted and recorded
-    as an "external" witness when it ends up being the binding one.  A
-    proper coloring with fewer colors (supplied, greedy or found by the
-    search) contradicts it and raises CertificateError.  The greedy clique
-    runs only when it can reach ``known_lower``: its size is at most
-    min(ub, packing bound), and a smaller clique neither raises the lower
-    bound nor becomes the witness.
+    Without ``initial_coloring`` the search starts from one color per
+    vertex, so its first descent is the greedy DSATUR coloring.
+    ``known_lower`` must be a sound lower bound; it is trusted, and a proper
+    coloring with fewer colors (supplied or found by the search) contradicts
+    it and raises CertificateError.  The greedy clique runs only when it can
+    reach ``known_lower``: its size is at most min(ub, packing bound), and a
+    smaller clique neither raises the lower bound nor becomes the witness.
+    One rule names the witness of the certified lower end (chi when exact):
+    "clique" if it equals the clique size, "external" if it equals
+    ``known_lower``, else "exhausted".
     """
     n = g.n
     if n == 0:
@@ -166,7 +141,7 @@ def chromatic_number(
         if not is_proper(g, start):
             raise CertificateError("initial coloring is not proper")
     else:
-        start = _greedy_dsatur(g)
+        start = tuple(range(n))
     ub = len(set(start))
     best_coloring = start
 
@@ -179,26 +154,6 @@ def chromatic_number(
     lb = max(len(clique), 1)
     if known_lower is not None:
         lb = max(lb, known_lower)
-
-    def check_known_lower():
-        if known_lower is not None and ub < known_lower:
-            raise CertificateError(
-                f"a proper coloring with {ub} colors contradicts the lower bound"
-                f" {known_lower} ({known_lower_label})"
-            )
-
-    def witness(chi: int, exhausted: bool) -> tuple[str, object]:
-        if chi == len(clique):
-            return ("clique", clique)
-        if known_lower is not None and chi == known_lower and chi > len(clique):
-            return ("external", known_lower_label)
-        return ("exhausted", None) if exhausted else ("external", known_lower_label)
-
-    check_known_lower()
-    if ub <= lb:
-        return ChromaticCertificate(
-            ub, _canonicalize(best_coloring), witness(ub, False), True, (ub, ub), 0
-        )
 
     # DSATUR branch and bound.
     masks = g.adj_masks
@@ -251,24 +206,26 @@ def chromatic_number(
         descend(0, 0)
     except _Budget:
         exhausted = False
-    check_known_lower()
-
-    if exhausted or ub <= lb:
-        chi = ub
-        return ChromaticCertificate(
-            chi,
-            _canonicalize(best_coloring),
-            witness(chi, exhausted),
-            True,
-            (chi, chi),
-            nodes,
+    if known_lower is not None and ub < known_lower:
+        raise CertificateError(
+            f"a proper coloring with {ub} colors contradicts the lower bound"
+            f" {known_lower} ({known_lower_label})"
         )
+
+    # The search runs out of budget only while ub > lb.
+    value = ub if exhausted else lb
+    if value == len(clique):
+        witness = ("clique", clique)
+    elif value == known_lower:
+        witness = ("external", known_lower_label)
+    else:
+        witness = ("exhausted", None)
     return ChromaticCertificate(
-        None,
+        ub if exhausted else None,
         _canonicalize(best_coloring),
-        ("clique", clique) if lb == len(clique) else ("external", known_lower_label),
-        False,
-        (lb, ub),
+        witness,
+        exhausted,
+        (value, ub),
         nodes,
     )
 

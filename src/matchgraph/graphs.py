@@ -68,9 +68,6 @@ class Graph:
     def edge_vertex_masks(self) -> tuple[int, ...]:
         return tuple((1 << u) | (1 << v) for u, v in self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u

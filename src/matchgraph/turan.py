@@ -7,7 +7,10 @@ all edges meeting a vertex set S plus all edges inside disjoint odd vertex
 sets C_1, C_2, ... (of size at least 3, each inducing a connected subgraph,
 avoiding S), with |S| + sum floor(|C_i| / 2) <= r - 1.  For fixed r there
 are polynomially many structures; enumerating them settles ex, and the
-same maximal sets drive the graph-side alternation engines.
+same maximal sets drive the graph-side alternation engines.  The
+enumeration has a node budget; a truncated run gives the best structure
+seen as a lower end, and it sees the stars (all edges meeting r - 1
+vertices, the largest S) first.
 """
 
 from __future__ import annotations
@@ -30,34 +33,6 @@ class TuranCertificate:
     method: str        # "structure"
     exact: bool = True
     bounds: tuple[int, int] | None = None
-
-
-def star_lower_bound(g: Graph, r: int) -> tuple[int, frozenset[int]]:
-    """Best rK2-free edge set of the form 'all edges meeting r-1 chosen vertices'.
-
-    Every matching inside such a set uses each chosen vertex at most once,
-    so the set is rK2-free; the value sum(deg) - (edges among chosen) is a
-    lower bound for ex(G, rK2).  Ties break on the lexicographically first
-    vertex choice.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    if r == 1:
-        return 0, frozenset()
-    best_val = -1
-    best_edges: frozenset[int] = frozenset()
-    for chosen in combinations(range(g.n), min(r - 1, g.n)):
-        cmask = 0
-        for v in chosen:
-            cmask |= 1 << v
-        ids = [
-            i for i, (u, v) in enumerate(g.edges)
-            if (1 << u) & cmask or (1 << v) & cmask
-        ]
-        if len(ids) > best_val:
-            best_val = len(ids)
-            best_edges = frozenset(ids)
-    return max(best_val, 0), best_edges
 
 
 def _incident_masks(g: Graph) -> list[int]:
@@ -115,7 +90,11 @@ def _odd_parts(g: Graph, inc: list[int], max_cost: int,
 
 
 def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, int]]):
-    """Edge masks of every structure of (g, r), one per (S, parts) choice."""
+    """Edge masks of every structure of (g, r), one per (S, parts) choice.
+
+    S runs from size min(r - 1, n) down, so a truncated run has seen the
+    stars (all edges meeting r - 1 vertices) first.
+    """
 
     def add_parts(start: int, used: int, budget: int, mask: int):
         yield mask
@@ -126,7 +105,7 @@ def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, in
             if not vertices & used:
                 yield from add_parts(i + 1, used | vertices, budget - cost, mask | inside)
 
-    for size in range(min(r - 1, g.n) + 1):
+    for size in range(min(r - 1, g.n), -1, -1):
         for s in combinations(range(g.n), size):
             used = mask = 0
             for v in s:
@@ -177,7 +156,7 @@ def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCe
     structure, so the witness is the lexicographically smallest edge-index
     tuple among all extremal sets.  When the structure enumeration exceeds
     ``node_budget`` the result is an inexact interval certificate: the best
-    rK2-free set found (or the star construction, if larger) up to |E|.
+    structure seen, up to |E|.  The enumeration reaches the stars first.
     """
     masks, complete = maximal_free_masks(g, r, node_budget)
     value = masks[0].bit_count()
@@ -186,9 +165,6 @@ def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCe
         raise CertificateError(f"structure witness {witness} contains an {r}-matching")
     if complete:
         return TuranCertificate(value, frozenset(witness), "structure")
-    star_val, star_edges = star_lower_bound(g, r)
-    if star_val > value:
-        value, witness = star_val, star_edges
     return TuranCertificate(
         value, frozenset(witness), "structure", exact=False, bounds=(value, g.m)
     )

@@ -298,6 +298,22 @@ def proper_by_edges(g: Graph, coloring) -> bool:
     return all(coloring[u] != coloring[v] for u, v in g.edges)
 
 
+def greedy_dsatur(g: Graph) -> tuple[int, ...]:
+    """Brelaz's greedy DSATUR colouring: repeatedly colour the uncoloured
+    vertex with the most distinct neighbour colours (ties: higher degree,
+    then lower index) with the smallest colour no neighbour has."""
+    nbrs = neighbour_lists(g)
+    colors = [-1] * g.n
+    for _ in range(g.n):
+        v = max(
+            (u for u in range(g.n) if colors[u] == -1),
+            key=lambda u: (len({colors[w] for w in nbrs[u]} - {-1}), len(nbrs[u]), -u),
+        )
+        taken = {colors[w] for w in nbrs[v]}
+        colors[v] = min(c for c in range(g.n) if c not in taken)
+    return tuple(colors)
+
+
 def chromatic_by_backtracking(g: Graph) -> int:
     if g.n == 0:
         return 0

@@ -338,31 +338,37 @@ def test_cli_never_builds_kneser_edge_view(tmp_path, monkeypatch):
     assert not any("graph" in vars(kg) for kg in built)
 
 
-def test_cmd_analyze_search_path_pinned(tmp_path, monkeypatch):
-    # host030 of the analyze-r2 benchmark: KG(G, 2K2) has 150 vertices and
-    # DSATUR stops at its node budget with the interval [15, 16].  The path
-    # is part of the hashed inputs, so it is relative to a fixed name.
+def test_cmd_analyze_hash_ignores_path_spelling(tmp_path, monkeypatch):
+    # the graph_sha256 input identifies the graph; the path that named it is not hashed
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.txt").write_text(format_graph(make_cycle(7)), encoding="ascii")
+    relative = cmd_analyze("./x.txt", 2)
+    absolute = cmd_analyze(str(tmp_path / "x.txt"), 2)
+    assert relative["determinism_sha256"] == absolute["determinism_sha256"]
+
+
+def test_cmd_analyze_search_path_pinned(tmp_path):
+    # host030 of the analyze-r2 benchmark: KG(G, 2K2) has 150 vertices and
+    # DSATUR stops at its node budget with the interval [15, 16].
     path = tmp_path / "host030.txt"
     path.write_text(
         "12 21\n0 1\n0 3\n0 6\n0 11\n1 7\n2 6\n2 8\n2 10\n3 7\n3 8\n4 5\n"
         "4 6\n4 8\n5 6\n5 10\n5 11\n7 8\n7 10\n7 11\n9 11\n10 11\n",
         encoding="ascii",
     )
-    report = cmd_analyze("host030.txt", 2, ordering="euler", node_budget=2000)
+    report = cmd_analyze(str(path), 2, ordering="euler", node_budget=2000)
     res = report["results"]
     assert (res["n"], res["m"], res["matching_graph_vertices"]) == (12, 21, 150)
     assert res["chi_interval"] == [15, 16] and res["search_nodes"] == 2001
     assert report["determinism_sha256"] == (
-        "43b62481154188164fc8763afa5a423e248b44531d40ab4d7e7e9407e0087ad0"
+        "d65eafb56f0cf25935be3ade13dc01f588478f45fde489c2d99185ced554b383"
     )
 
 
-def test_cmd_analyze_random_hosts_pinned(tmp_path, monkeypatch):
+def test_cmd_analyze_random_hosts_pinned(tmp_path):
     # Twelve seeded random connected hosts shaped like the analyze-r2
-    # benchmark's (12-17 vertices, 16-30 edges, node budget 2000), each
-    # written to a relative path; one sha over their determinism hashes.
-    monkeypatch.chdir(tmp_path)
+    # benchmark's (12-17 vertices, 16-30 edges, node budget 2000); one sha
+    # over their determinism hashes.
     rng = random.Random(2024)
     hashes = []
     for i in range(12):
@@ -377,10 +383,10 @@ def test_cmd_analyze_random_hosts_pinned(tmp_path, monkeypatch):
         path.write_text(
             f"{n} {m}\n" + "".join(f"{u} {v}\n" for u, v in sorted(edges)), encoding="ascii"
         )
-        report = cmd_analyze(path.name, 2, ordering="euler", node_budget=2000)
+        report = cmd_analyze(str(path), 2, ordering="euler", node_budget=2000)
         hashes.append(report["determinism_sha256"])
     assert hashlib.sha256("".join(hashes).encode()).hexdigest() == (
-        "4c25eb4334b34ad3be5a79717cbffdd9e4159cc9f56797ccb56bb9cbfa18520b"
+        "353c04bddc7bb02e068e2faaad9b30f9c3740b6f8931ebecd16f3aeb8135551b"
     )
 
 

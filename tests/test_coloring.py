@@ -19,7 +19,6 @@ from matchgraph import (
     make_cycle,
     make_disjoint_matching,
     matching_graph,
-    star_lower_bound,
     turan_matchings,
 )
 from matchgraph.cli import cmd_analyze
@@ -27,6 +26,7 @@ from matchgraph.cli import cmd_analyze
 from tests.oracles import (
     chromatic_by_backtracking,
     greedy_clique_by_scan,
+    greedy_dsatur,
     proper_by_edges,
     random_connected_graph,
     random_graph,
@@ -93,13 +93,25 @@ def test_solver_value_deterministic():
     assert a.chi == b.chi == chromatic_by_backtracking(g)
 
 
+def test_search_starts_with_greedy_dsatur():
+    # the search's first descent is the greedy DSATUR colouring, and a budget
+    # of n + 1 nodes (one per vertex and the leaf) allows no other
+    rng = random.Random(67)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 14), rng.random())
+        cert = chromatic_number(g, node_budget=g.n + 1)
+        assert cert.bounds[1] == len(set(greedy_dsatur(g)))
+        assert is_proper(g, cert.coloring) and len(set(cert.coloring)) == cert.bounds[1]
+
+
 def test_known_lower_short_circuits():
     k64 = make_complete_bipartite(6, 4)
     g = matching_graph(k64, 2)
-    init = coloring_from_extremal(g.source, star_lower_bound(k64, 2)[1])
+    star = {i for i, edge in enumerate(k64.edges) if 6 in edge}  # the 6 edges at vertex 6
+    init = coloring_from_extremal(g.source, star)
     cert = chromatic_number(g, known_lower=18, known_lower_label="alternation bound",
                             initial_coloring=init)
-    assert cert.chi == 18 and cert.exact
+    assert cert.chi == 18 and cert.exact and cert.nodes == 0
     assert cert.lower_witness == ("external", "alternation bound")
 
 
@@ -187,8 +199,7 @@ def test_coloring_from_extremal_cycle():
 
 def test_coloring_from_extremal_bipartite_star():
     k43 = make_complete_bipartite(4, 3)
-    star = star_lower_bound(k43, 2)[1]
-    assert len(star) == 4
+    star = {i for i, edge in enumerate(k43.edges) if 4 in edge}  # the 4 edges at vertex 4
     kg = matching_graph(k43, 2)
     col = coloring_from_extremal(kg.source, star)
     assert is_proper(kg.graph, col)

@@ -92,3 +92,26 @@ def test_every_oracle_is_used():
     referenced = _referenced_names(tests.glob("*.py"))
     assert len(defined) > 10
     assert [name for name in defined if name not in referenced] == []
+
+
+def test_every_class_member_is_read():
+    # a public method or property that no code reads is a second API nobody uses
+    repo = Path(__file__).parent.parent
+    read = set()
+    for path in [*SRC.glob("*.py"), *repo.glob("tests/*.py"), *repo.glob("perfbench/*.py")]:
+        read.update(
+            node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+        )
+    unread = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []

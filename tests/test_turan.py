@@ -11,7 +11,6 @@ from matchgraph import (
     make_complete_bipartite,
     make_cycle,
     make_disjoint_matching,
-    star_lower_bound,
     turan_matchings,
 )
 
@@ -78,24 +77,14 @@ def test_turan_budget_interval():
         ex_alt_sigma(g, 3, EdgeOrdering.identity(g.m), node_budget=5)
 
 
-def test_star_lower_bound_examples():
-    value, edges = star_lower_bound(make_cycle(7), 3)
-    assert value == 4 and len(edges) == 4
-    assert star_lower_bound(make_complete_bipartite(4, 3), 2)[0] == 4
-    assert star_lower_bound(make_complete(4), 2)[0] == 3
-    assert star_lower_bound(make_cycle(5), 1) == (0, frozenset())
-
-
-def test_star_lower_bound_is_free_and_below_ex():
-    rng = random.Random(59)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 7), rng.random())
-        for r in (2, 3):
-            value, edges = star_lower_bound(g, r)
-            assert len(edges) == value
-            assert not brute_has_r_matching(g, edges, r)
-            if g.m <= 12:
-                assert value <= turan_matchings(g, r).ex_value
+def test_truncated_run_stays_within_its_budget():
+    # ex(20K2, 14K2) = 13, and the vertex sets S of size 13 alone number
+    # C(40, 13); the interval comes from the structures seen within budget
+    g = make_disjoint_matching(20)
+    cert = turan_matchings(g, 14, node_budget=1000)
+    assert not cert.exact
+    assert not brute_has_r_matching(g, cert.extremal_edges, 14)
+    assert cert.bounds[0] == len(cert.extremal_edges) <= 13 <= cert.bounds[1] == 20
 
 
 def test_extremal_certificate_is_free():
