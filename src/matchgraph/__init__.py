@@ -2,9 +2,9 @@
 
 Builders for matching graphs KG(G, rK2) and general Kneser graphs KG(H),
 an exact chromatic-number solver with certificates, generalized and
-alternating Turan numbers, Eulerian and apex edge orderings with their
+alternating Turan numbers, the Eulerian edge ordering with its
 alternation-based chromatic lower bounds, Tutte-Berge witnesses, and
-monogamous C4 / locally-Eulerian decomposition certificates, plus a CLI
+monogamous C4 decompositions of complete bipartite graphs, plus a CLI
 for reproduction tables and a small-graph conjecture scanner.
 """
 
@@ -29,8 +29,7 @@ from .coloring import (
 from .decompositions import (
     C4Decomposition,
     C4SearchResult,
-    LocallyEulerianBuild,
-    locally_eulerian_from_c4,
+    VerificationResult,
     make_block,
     monogamous_c4_decomposition,
     verify_c4_decomposition,
@@ -70,15 +69,7 @@ from .matching import (
     max_matching,
     tutte_berge,
 )
-from .orderings import (
-    LocallyEulerianCertificate,
-    StarFormulaReport,
-    VerificationResult,
-    apex_ordering,
-    euler_ordering,
-    star_formula_conditions,
-    verify_locally_eulerian,
-)
+from .orderings import StarFormulaReport, euler_ordering, star_formula_conditions
 from .turan import TuranCertificate, turan_matchings
 
 __version__ = "0.1.0"

@@ -473,37 +473,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    common = dict(fmt=("--format", dict(choices=["json", "table"], default="json")),
-                  out=("--out", dict(default=None, metavar="PATH")),
-                  nodes=("--max-nodes", dict(type=int, default=10_000_000)))
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--format", choices=["json", "table"], default="json")
+    common.add_argument("--out", default=None, metavar="PATH")
+    common.add_argument("--max-nodes", type=int, default=10_000_000)
 
-    p = sub.add_parser("schrijver", help="chi of KG(C_n, rK2) vs n-2r+2")
+    p = sub.add_parser("schrijver", parents=[common], help="chi of KG(C_n, rK2) vs n-2r+2")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    for flag, kw in (common["fmt"], common["out"], common["nodes"]):
-        p.add_argument(flag, **kw)
 
-    p = sub.add_parser("permutation", help="chi of KG(K_{m,n}, rK2) vs m(n-r+1)")
+    p = sub.add_parser("permutation", parents=[common],
+                       help="chi of KG(K_{m,n}, rK2) vs m(n-r+1)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
-    for flag, kw in (common["fmt"], common["out"], common["nodes"]):
-        p.add_argument(flag, **kw)
 
-    p = sub.add_parser("scan", help="conjecture scan over small connected graphs")
+    p = sub.add_parser("scan", parents=[common],
+                       help="conjecture scan over small connected graphs")
     p.add_argument("--max-n", type=int, default=6)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--jobs", type=int, default=1)
-    for flag, kw in (common["fmt"], common["out"], common["nodes"]):
-        p.add_argument(flag, **kw)
 
-    p = sub.add_parser("analyze", help="full report for a graph file")
+    p = sub.add_parser("analyze", parents=[common], help="full report for a graph file")
     p.add_argument("path", metavar="GRAPHFILE")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--ordering", default="euler",
                    help="euler | identity | file:PATH")
-    for flag, kw in (common["fmt"], common["out"], common["nodes"]):
-        p.add_argument(flag, **kw)
 
     p = sub.add_parser("dimacs", help="export a graph file as DIMACS .col")
     p.add_argument("path", metavar="GRAPHFILE")

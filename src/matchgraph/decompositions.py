@@ -1,5 +1,4 @@
-"""Monogamous C4 decompositions of complete bipartite graphs and the
-locally-Eulerian certificates built from them.
+"""Monogamous C4 decompositions of complete bipartite graphs.
 
 A C4 decomposition of K_{m,n} partitions the edge set into 4-cycles; it is
 monogamous when no vertex pair (same side or crossing) lies in two of the
@@ -15,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError
-from .graphs import make_complete_bipartite
-from .matching import _augmenting_matcher
-from .orderings import LocallyEulerianCertificate, VerificationResult, verify_locally_eulerian
 
 Block = tuple[tuple[int, int], ...]   # 4 (left, right) pairs of one 4-cycle
 
@@ -27,20 +23,6 @@ class C4Decomposition:
     m: int
     n: int
     blocks: tuple[Block, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "n": self.n,
-            "blocks": [[list(p) for p in block] for block in self.blocks],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "C4Decomposition":
-        blocks = tuple(
-            tuple(tuple(p) for p in block) for block in data["blocks"]
-        )
-        return cls(data["m"], data["n"], blocks)
 
 
 def make_block(a: int, b: int, x: int, y: int) -> Block:
@@ -55,6 +37,12 @@ class C4SearchResult:
     status: str                      # "found" | "none" | "indeterminate"
     decomposition: C4Decomposition | None
     nodes: int                       # block placements tried (search trace size)
+
+
+@dataclass(frozen=True)
+class VerificationResult:
+    ok: bool
+    violation: str | None = None
 
 
 def verify_c4_decomposition(dec: C4Decomposition) -> VerificationResult:
@@ -163,127 +151,3 @@ def monogamous_c4_decomposition(
     if exceeded:
         return C4SearchResult("indeterminate", None, nodes)
     return C4SearchResult("none", None, nodes)
-
-
-# ---------------------------------------------------------------------------
-# Locally-Eulerian certificates for K_{t,t'} from block assignments.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LocallyEulerianBuild:
-    status: str                      # "ok" | "infeasible" | "indeterminate"
-    certificate: LocallyEulerianCertificate | None
-    message: str
-    copies_floor: int                # floor((t-3)/8) blocks assigned per vertex
-    copies_ceil: int                 # ceil((t-3)/8), reported alongside
-    inside_blocks: int
-
-
-def locally_eulerian_from_c4(
-    t: int,
-    t_prime: int,
-    r: int,
-    c: int,
-    decomposition: C4Decomposition | None = None,
-    node_budget: int = 50_000_000,
-) -> LocallyEulerianBuild:
-    """Build an (r, c)-locally-Eulerian certificate for K_{t,t'}.
-
-    Rounds both sides up to even sizes T, T', takes a monogamous C4
-    decomposition of K_{T,T'} (searched for, or supplied), keeps the blocks
-    lying entirely inside K_{t,t'}, and assigns floor((t-3)/8) blocks to
-    each vertex through a slot-saturating maximum matching.
-    Each vertex's subgraph is the union of its assigned blocks: root degree
-    2*floor((t-3)/8), every other degree 2.  The ceiling variant of the
-    copy count is reported next to the floor whenever the two differ.
-    """
-    if t < 1 or t_prime < 1:
-        raise ValueError("side sizes must be positive")
-    copies = (t - 3) // 8 if t >= 3 else 0
-    copies_ceil = -((3 - t) // 8) if t >= 3 else 0  # ceil((t-3)/8)
-    if copies < 1:
-        return LocallyEulerianBuild(
-            "infeasible", None,
-            f"floor((t-3)/8) = {copies} gives every vertex an empty subgraph",
-            copies, copies_ceil, 0,
-        )
-    big_t = t + t % 2
-    big_tp = t_prime + t_prime % 2
-
-    if decomposition is None:
-        result = monogamous_c4_decomposition(big_t, big_tp, node_budget=node_budget)
-        if result.status == "indeterminate":
-            return LocallyEulerianBuild(
-                "indeterminate", None,
-                f"no decomposition of K_{{{big_t},{big_tp}}} found within budget;"
-                " supply one explicitly",
-                copies, copies_ceil, 0,
-            )
-        if result.status == "none":
-            return LocallyEulerianBuild(
-                "infeasible", None,
-                f"K_{{{big_t},{big_tp}}} has no monogamous C4 decomposition",
-                copies, copies_ceil, 0,
-            )
-        decomposition = result.decomposition
-    else:
-        if (decomposition.m, decomposition.n) != (big_t, big_tp):
-            raise CertificateError(
-                f"supplied decomposition is for K_{{{decomposition.m},{decomposition.n}}},"
-                f" expected K_{{{big_t},{big_tp}}}"
-            )
-        check = verify_c4_decomposition(decomposition)
-        if not check.ok:
-            raise CertificateError(f"supplied decomposition invalid: {check.violation}")
-
-    inside = [
-        block for block in decomposition.blocks
-        if all(l < t and rr < t_prime for l, rr in block)
-    ]
-
-    # Bipartite assignment: `copies` slots per vertex of K_{t,t'} vs blocks.
-    host = make_complete_bipartite(t, t_prime)
-    slots: list[int] = []           # slot -> host vertex
-    for v in range(t + t_prime):
-        slots.extend([v] * copies)
-    block_vertices = []
-    for block in inside:
-        verts = sorted({l for l, _ in block}) + sorted({t + rr for _, rr in block})
-        block_vertices.append(verts)
-    # Slot si is matcher vertex si, block bi is matcher vertex len(slots) + bi.
-    n_slots = len(slots)
-    adj: list[list[int]] = [[] for _ in range(n_slots + len(inside))]
-    for si, v in enumerate(slots):
-        for bi, verts in enumerate(block_vertices):
-            if v in verts:
-                adj[si].append(n_slots + bi)
-                adj[n_slots + bi].append(si)
-    match, size = _augmenting_matcher(len(adj), adj)
-    if size != n_slots:
-        return LocallyEulerianBuild(
-            "infeasible", None,
-            "Hall condition fails: the inside blocks cannot saturate every vertex slot",
-            copies, copies_ceil, len(inside),
-        )
-
-    subgraph_edges: list[set[int]] = [set() for _ in range(t + t_prime)]
-    for si, v in enumerate(slots):
-        for l, rr in inside[match[si] - n_slots]:
-            subgraph_edges[v].add(l * t_prime + rr)
-    cert = LocallyEulerianCertificate(
-        host,
-        tuple(range(t + t_prime)),
-        tuple(frozenset(s) for s in subgraph_edges),
-        r,
-        c,
-    )
-    check = verify_locally_eulerian(cert)
-    if not check.ok:
-        return LocallyEulerianBuild(
-            "infeasible", cert,
-            f"built subgraphs do not satisfy (r={r}, c={c}): {check.violation};"
-            f" root degree is {2 * copies}, other degrees 2",
-            copies, copies_ceil, len(inside),
-        )
-    return LocallyEulerianBuild("ok", cert, "certificate verified", copies, copies_ceil, len(inside))
-

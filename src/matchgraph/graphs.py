@@ -207,6 +207,11 @@ def odd_girth(g: Graph) -> int | float:
 # Degree orders.
 # ---------------------------------------------------------------------------
 
+# Vertices the independent-prefix search of degree_order may place before it
+# gives up; the search is exponential when no prefix exists (20K2 at k = 21).
+PREFIX_SEARCH_BUDGET = 100_000
+
+
 @dataclass(frozen=True)
 class DegreeOrder:
     """Vertex permutation sorted by non-increasing degree in its host graph."""
@@ -225,7 +230,9 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
     only inside the equal-degree class that holds position k, so that the
     first k vertices are pairwise non-adjacent: the lexicographically first
     independent choice from that class is moved to its front.  Returns None
-    when no degree-respecting order has such a prefix.
+    when no degree-respecting order has such a prefix, and also when the
+    search places ``PREFIX_SEARCH_BUDGET`` vertices without finding one, so
+    None means "no prefix found", never a wrong prefix.
     """
     degrees = g.degrees
     base = sorted(range(g.n), key=lambda v: (-degrees[v], v))
@@ -244,13 +251,19 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
             return None
         blocked |= adj[v]
 
+    placed = 0
+
     def pick(start: int, need: int, blocked: int) -> list[int] | None:
         """First `need` pairwise non-adjacent vertices of tied[start:] outside `blocked`."""
+        nonlocal placed
         if need == 0:
             return []
         for i in range(start, len(tied) - need + 1):
             v = tied[i]
             if not blocked >> v & 1:
+                placed += 1
+                if placed > PREFIX_SEARCH_BUDGET:
+                    return None
                 rest = pick(i + 1, need - 1, blocked | adj[v])
                 if rest is not None:
                     return [v] + rest

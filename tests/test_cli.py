@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -289,6 +290,18 @@ def test_cmd_analyze_disconnected_flag(tmp_path):
     assert res["conjecture_applicable"] is False
     assert res["edges_minus_2ex"] == 2
     assert res["chi"] == 2  # the known equality chi = |E| - 2 ex for nK2
+
+
+def test_cmd_analyze_star_prefix_search_is_budgeted(tmp_path):
+    # 20K2 has no independent 21-vertex prefix; the unbudgeted tied-class
+    # search took about 14 s to refute one, the budgeted one gives up
+    path = tmp_path / "m20.txt"
+    path.write_text(format_graph(make_disjoint_matching(20)), encoding="ascii")
+    started = time.perf_counter()
+    report = cmd_analyze(str(path), 22)
+    assert time.perf_counter() - started < 2
+    assert report["results"]["star_formula"]["applicable"] is False
+    assert report["exactness"]["chi"] == "certified"
 
 
 def test_cmd_analyze_euler_with_isolated_vertex_and_odd_degrees(tmp_path, capsys):

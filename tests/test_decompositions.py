@@ -2,12 +2,9 @@ import pytest
 
 from matchgraph import (
     C4Decomposition,
-    CertificateError,
-    locally_eulerian_from_c4,
     make_block,
     monogamous_c4_decomposition,
     verify_c4_decomposition,
-    verify_locally_eulerian,
 )
 
 
@@ -68,70 +65,5 @@ def test_verifier_rejects_broken_decompositions():
     assert not verify_c4_decomposition(C4Decomposition(6, 6, (bad_block,))).ok
 
 
-def test_c4_json_round_trip():
-    dec = monogamous_c4_decomposition(6, 6).decomposition
-    again = C4Decomposition.from_json_dict(dec.to_json_dict())
-    assert again == dec
-
-
 def test_make_block_canonical():
     assert make_block(3, 1, 2, 0) == ((1, 0), (1, 2), (3, 0), (3, 2))
-
-
-def test_locally_eulerian_from_c4_small_t_infeasible():
-    build = locally_eulerian_from_c4(9, 9, 2, 0)
-    assert build.status == "infeasible"
-    assert build.copies_floor == 0
-
-
-def test_locally_eulerian_from_c4_t11():
-    dec = monogamous_c4_decomposition(12, 12).decomposition
-    build = locally_eulerian_from_c4(11, 11, 2, 0, decomposition=dec)
-    assert build.status == "ok"
-    assert build.copies_floor == 1 and build.copies_ceil == 1
-    cert = build.certificate
-    assert verify_locally_eulerian(cert).ok
-    # root degree 2*floor((t-3)/8) = 2, every other degree 2
-    host = cert.host
-    for i, sub in enumerate(cert.subgraphs):
-        deg = {}
-        for e in sub:
-            u, v = host.edges[e]
-            deg[u] = deg.get(u, 0) + 1
-            deg[v] = deg.get(v, 0) + 1
-        assert deg[cert.roots[i]] == 2
-        assert all(d == 2 for d in deg.values())
-    # the same blocks cannot support a stronger requirement
-    weak = locally_eulerian_from_c4(11, 11, 2, 1, decomposition=dec)
-    assert weak.status == "infeasible"
-    weak2 = locally_eulerian_from_c4(11, 11, 3, 0, decomposition=dec)
-    assert weak2.status == "infeasible"
-
-
-def test_locally_eulerian_from_c4_searches_when_not_supplied():
-    build = locally_eulerian_from_c4(11, 11, 2, 0)
-    assert build.status == "ok"
-    assert verify_locally_eulerian(build.certificate).ok
-
-
-def test_locally_eulerian_from_c4_indeterminate_when_budget_small():
-    build = locally_eulerian_from_c4(19, 19, 2, 0, node_budget=3)
-    assert build.status == "indeterminate"
-
-
-def test_locally_eulerian_from_c4_rejects_bad_decomposition():
-    dec = monogamous_c4_decomposition(6, 6).decomposition
-    with pytest.raises(CertificateError):
-        locally_eulerian_from_c4(11, 11, 2, 0, decomposition=dec)  # wrong size
-    broken = C4Decomposition(12, 12, dec.blocks)
-    with pytest.raises(CertificateError):
-        locally_eulerian_from_c4(11, 11, 2, 0, decomposition=broken)
-
-
-def test_locally_eulerian_certificate_json_round_trip():
-    build = locally_eulerian_from_c4(11, 11, 2, 0)
-    cert = build.certificate
-    from matchgraph import LocallyEulerianCertificate
-
-    again = LocallyEulerianCertificate.from_json_dict(cert.to_json_dict())
-    assert again == cert

@@ -4,24 +4,17 @@ import random
 import pytest
 
 from matchgraph import (
-    CertificateError,
-    EdgeOrdering,
     Graph,
-    LocallyEulerianCertificate,
-    apex_ordering,
     chromatic_number,
     euler_ordering,
     ex_alt_sigma,
     ex_salt_sigma,
-    locally_eulerian_from_c4,
     make_complete,
     make_complete_bipartite,
     make_cycle,
     matching_chi_lower_bound,
     matching_graph,
     star_formula_conditions,
-    turan_matchings,
-    verify_locally_eulerian,
 )
 
 from matchgraph.graphs import component_masks
@@ -185,203 +178,18 @@ def test_star_formula_pipeline_bounds_and_chi():
         assert cert.exact and cert.chi == rep.formula_value
 
 
-# ---------------------------------------------------------------------------
-# Locally-Eulerian certificates and the apex ordering.
-# ---------------------------------------------------------------------------
-
-def triangle_certificate(g, count, r=2, c=0):
-    """Edge-disjoint triangles with a system of distinct roots, by backtracking."""
-    tris = []
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            if not g.has_edge(a, b):
-                continue
-            for cc in range(b + 1, g.n):
-                if g.has_edge(a, cc) and g.has_edge(b, cc):
-                    tris.append((a, b, cc))
-    used_edges: set[int] = set()
-    used_roots: set[int] = set()
-    chosen: list[tuple[int, frozenset[int]]] = []
-
-    def descend(i):
-        if len(chosen) == count:
-            return True
-        if i == len(tris):
-            return False
-        a, b, cc = tris[i]
-        eids = [g.edge_index[(a, b)], g.edge_index[(a, cc)], g.edge_index[(b, cc)]]
-        if not any(e in used_edges for e in eids):
-            for root in (a, b, cc):
-                if root not in used_roots:
-                    used_roots.add(root)
-                    used_edges.update(eids)
-                    chosen.append((root, frozenset(eids)))
-                    if descend(i + 1):
-                        return True
-                    chosen.pop()
-                    used_edges.difference_update(eids)
-                    used_roots.discard(root)
-        return descend(i + 1)
-
-    assert descend(0)
-    by_root = sorted(chosen)
-    return LocallyEulerianCertificate(
-        g,
-        tuple(root for root, _ in by_root),
-        tuple(sub for _, sub in by_root),
-        r,
-        c,
-    )
+# max(|E| - ex_alt, |E| + 1 - ex_salt) at r = 2 along the Euler ordering
+DENSE_HOST_BOUNDS = {
+    "K7": (make_complete(7), 15),
+    "K8": (make_complete(8), 20),
+    "K9": (make_complete(9), 28),
+    "K11,11": (make_complete_bipartite(11, 11), 109),
+    "K11,12": (make_complete_bipartite(11, 12), 120),
+    "K12,12": (make_complete_bipartite(12, 12), 132),
+}
 
 
-def test_verify_locally_eulerian_valid():
-    cert = triangle_certificate(make_complete(7), 7)
-    assert verify_locally_eulerian(cert).ok
-
-
-def test_verify_locally_eulerian_violations():
-    k7 = make_complete(7)
-    cert = triangle_certificate(k7, 7)
-
-    overlapping = LocallyEulerianCertificate(
-        k7, cert.roots, (cert.subgraphs[0],) + cert.subgraphs[:6], 2, 0
-    )
-    assert "shares an edge" in verify_locally_eulerian(overlapping).violation
-
-    trivial = LocallyEulerianCertificate(
-        k7, cert.roots, cert.subgraphs[:6] + (frozenset(),), 2, 0
-    )
-    assert "trivial" in verify_locally_eulerian(trivial).violation
-
-    bad_roots = LocallyEulerianCertificate(
-        k7, (0,) * 7, cert.subgraphs, 2, 0
-    )
-    assert "roots" in verify_locally_eulerian(bad_roots).violation
-
-    # root degree 2 cannot satisfy (r-1)*2 + c with r=3
-    weak = LocallyEulerianCertificate(k7, cert.roots, cert.subgraphs, 3, 0)
-    assert "root degree" in verify_locally_eulerian(weak).violation
-
-    path = Graph(3, ((0, 1), (1, 2)))
-    odd_sub = LocallyEulerianCertificate(
-        path, (0, 1, 2), (frozenset({0}), frozenset({1}), frozenset()), 2, 0
-    )
-    assert "odd degree" in verify_locally_eulerian(odd_sub).violation
-
-    two_triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
-    disconnected_sub = LocallyEulerianCertificate(
-        two_triangles,
-        (0, 1, 2, 3, 4, 5),
-        (frozenset(range(6)),) + (frozenset(),) * 5,
-        2,
-        0,
-    )
-    # fails before connectivity: subgraphs 1..5 are trivial; build a direct case
-    assert not verify_locally_eulerian(disconnected_sub).ok
-    one_all = LocallyEulerianCertificate(
-        two_triangles, (0,), (frozenset(range(6)),), 2, 0
-    )
-    assert "roots" in verify_locally_eulerian(one_all).violation
-
-
-def test_apex_ordering_k7_triangles():
-    k7 = make_complete(7)
-    cert = triangle_certificate(k7, 7)
-    sigma = apex_ordering(k7, k7, cert)
-    assert sorted(sigma.perm) == list(range(21))
-
-
-def test_apex_ordering_with_parity_vertex():
-    k8 = make_complete(8)  # all degrees odd: exercises the parity-vertex path
-    cert = triangle_certificate(k8, 8)
-    sigma = apex_ordering(k8, k8, cert)
-    assert sorted(sigma.perm) == list(range(28))
-
-
-def test_apex_ordering_with_leftover_components():
-    k9 = make_complete(9)  # 9 triangles leave 36-27=9 edges untoured by subgraphs
-    cert = triangle_certificate(k9, 9)
-    sigma = apex_ordering(k9, k9, cert)
-    assert sorted(sigma.perm) == list(range(36))
-
-
-def test_apex_ordering_pinned():
-    # the staged tours, parity vertex and leftover components fix each perm
-    k7 = make_complete(7)
-    two_blocks = Graph(14, k7.edges + tuple((u + 7, v + 7) for u, v in k7.edges))
-    hosts = {
-        "K7": (k7, 7),
-        "K8": (make_complete(8), 8),
-        "K9": (make_complete(9), 9),
-        "K7+K7": (two_blocks, 14),
-    }
-    pinned = {
-        "K7": (
-            0, 6, 1, 7, 16, 9, 12, 18, 13, 2, 3, 15, 8, 10, 19, 4, 5, 20, 14, 11, 17
-        ),
-        "K8": (
-            0, 7, 1, 6, 11, 13, 22, 8, 19, 10, 14, 23, 16, 2, 3, 18, 9, 12, 24, 4, 5,
-            25, 20, 21, 27, 17, 15, 26
-        ),
-        "K9": (
-            0, 8, 1, 9, 22, 11, 13, 24, 25, 29, 26, 31, 33, 34, 14, 16, 28, 19, 2, 3,
-            21, 10, 12, 27, 4, 5, 30, 18, 15, 23, 6, 7, 35, 20, 17, 32
-        ),
-        "K7+K7": (
-            0, 6, 1, 7, 16, 9, 12, 18, 13, 2, 3, 15, 8, 10, 19, 4, 5, 20, 14, 11, 17,
-            21, 27, 22, 28, 37, 30, 33, 39, 34, 23, 24, 36, 29, 31, 40, 25, 26, 41, 35,
-            32, 38
-        ),
-    }
-    for name, (g, count) in hosts.items():
-        assert apex_ordering(g, g, triangle_certificate(g, count)).perm == pinned[name], name
-    cert = locally_eulerian_from_c4(11, 11, 2, 0).certificate
-    assert apex_ordering(cert.host, cert.host, cert).perm == (
-        0, 11, 12, 1, 10, 76, 66, 44, 20, 75, 70, 92, 88, 55, 56, 34, 36, 58, 60, 28,
-        61, 40, 73, 77, 99, 100, 90, 101, 106, 109, 110, 112, 114, 80, 83, 96, 97, 13,
-        35, 39, 17, 24, 2, 3, 25, 37, 4, 5, 38, 50, 6, 7, 51, 63, 8, 9, 64, 68, 46, 52,
-        74, 78, 111, 115, 82, 93, 49, 54, 98, 102, 69, 71, 104, 119, 42, 43, 120, 22,
-        30, 41, 33, 23, 31, 53, 45, 57, 62, 84, 79, 14, 15, 48, 47, 26, 32, 65, 59, 16,
-        18, 29, 27, 72, 67, 89, 94, 95, 91, 113, 117, 107, 105, 116, 118, 86, 81, 103,
-        108, 21, 19, 85, 87
-    )
-
-
-def test_apex_ordering_projects_to_subgraph():
-    k7 = make_complete(7)
-    cert = triangle_certificate(k7, 7)
-    cycle_pairs = tuple(sorted(tuple(sorted((i, (i + 1) % 7))) for i in range(7)))
-    c7 = Graph(7, cycle_pairs)
-    sigma = apex_ordering(c7, k7, cert)
-    assert sorted(sigma.perm) == list(range(7))
-
-
-def test_apex_ordering_rejects_bad_certificates():
-    k7 = make_complete(7)
-    cert = triangle_certificate(k7, 7)
-    broken = LocallyEulerianCertificate(
-        k7, cert.roots, (cert.subgraphs[0],) + cert.subgraphs[:6], 2, 0
-    )
-    with pytest.raises(CertificateError):
-        apex_ordering(k7, k7, broken)
-    with pytest.raises(CertificateError):
-        apex_ordering(k7, make_complete(6), cert)  # host mismatch
-    with pytest.raises(ValueError):
-        apex_ordering(Graph(8, ((0, 1),)), k7, cert)  # more vertices than host
-
-
-def test_apex_ordering_rejects_non_subgraph_edges():
-    # two disjoint complete blocks host a valid certificate; an edge across
-    # the blocks is not a host edge
-    k7 = make_complete(7)
-    shift = tuple((u + 7, v + 7) for u, v in k7.edges)
-    host = Graph(14, k7.edges + shift)
-    cert = triangle_certificate(host, 14)
-    assert verify_locally_eulerian(cert).ok
-    bridge = Graph(14, ((0, 7),))
-    with pytest.raises(ValueError):
-        apex_ordering(bridge, host, cert)
-    # and a genuine subgraph of the disconnected host still projects fine
-    sub = Graph(14, ((0, 1), (7, 8)))
-    sigma = apex_ordering(sub, host, cert)
-    assert sorted(sigma.perm) == [0, 1]
+@pytest.mark.parametrize("name", DENSE_HOST_BOUNDS)
+def test_euler_ordering_bound_on_dense_hosts(name):
+    g, bound = DENSE_HOST_BOUNDS[name]
+    assert matching_chi_lower_bound(g, 2, euler_ordering(g)) == bound
