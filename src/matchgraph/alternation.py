@@ -20,14 +20,13 @@ Both quantities yield chromatic lower bounds for general Kneser graphs:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import CapacityError
 from .graphs import Graph
 from .hypergraphs import Hypergraph
 from .matching import edge_subset_has_r_matching
-from .turan import NODE_BUDGET, maximal_free_masks
+from .turan import NODE_BUDGET, complete_free_masks
 
 
 @dataclass(frozen=True)
@@ -159,32 +158,24 @@ def _alternation(first: int, second: int) -> int:
         length += 1
 
 
-@lru_cache(maxsize=8)
-def _alternation_table(g: Graph, r: int, sigma: EdgeOrdering,
-                       node_budget: int) -> tuple[tuple[int, int, int], ...]:
-    """Per inclusion-maximal rK2-free edge set: its bitmask over sigma
-    positions, its alternation against all edges when it starts, and when
-    it comes second.
+def ex_alt_salt(g: Graph, sigma: EdgeOrdering, masks: tuple[int, ...]) -> tuple[int, int]:
+    """(ex_alt, ex_salt) of rK2 along sigma, where ``masks`` are all the
+    inclusion-maximal rK2-free edge sets of g (``turan.complete_free_masks``).
 
-    Alternation only grows with the sets, so the last two numbers bound
-    every pair the set takes part in.  Raises CapacityError when the
-    structure enumeration is truncated: a value from a partial enumeration
-    could be too small, and a too-small ex_alt would make |E| - ex_alt an
-    unsound lower bound.  Cached, so that ex_alt and ex_salt along the
-    same ordering share one table.
+    Each rK2-free class lies inside a maximal set.  ex_salt leaves one class
+    unrestricted, so it is the best greedy alternation of a maximal set
+    against the whole edge set, in either order.  ex_alt is the best greedy
+    alternation over ordered pairs (A, B) of maximal sets; alternation only
+    grows with the sets, so a set's two alternations against the whole edge
+    set bound every pair it takes part in.
     """
     if len(sigma) != g.m:
         raise ValueError("ordering length does not match edge count")
-    masks, complete = maximal_free_masks(g, r, node_budget)
-    if not complete:
-        raise CapacityError(
-            f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
-        )
     position = [0] * g.m
     for p, e in enumerate(sigma.perm):
         position[e] = 1 << p
     everything = (1 << g.m) - 1
-    table = []
+    table = []  # per maximal set: its mask over positions, then as first, as second
     for mask in masks:
         moved = 0
         while mask:
@@ -192,17 +183,6 @@ def _alternation_table(g: Graph, r: int, sigma: EdgeOrdering,
             moved |= position[low.bit_length() - 1]
             mask ^= low
         table.append((moved, _alternation(moved, everything), _alternation(everything, moved)))
-    return tuple(table)
-
-
-def ex_alt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
-                 node_budget: int = NODE_BUDGET) -> int:
-    """Alternating Turan number of rK2 along sigma: both classes rK2-free.
-
-    Each class lies inside a maximal rK2-free set, so the value is the best
-    greedy alternation over ordered pairs (A, B) of maximal sets.
-    """
-    table = _alternation_table(g, r, sigma, node_budget)
     firsts = sorted(table, key=lambda row: -row[1])
     seconds = sorted(table, key=lambda row: -row[2])
     best = max(a.bit_count() for a, _, _ in table)  # (A, A) alternates all of A
@@ -214,18 +194,19 @@ def ex_alt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
                 break
             if (a | b).bit_count() > best:
                 best = max(best, _alternation(a, b))
-    return best
+    return best, max(max(first, second) for _, first, second in table)
+
+
+def ex_alt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
+                 node_budget: int = NODE_BUDGET) -> int:
+    """Alternating Turan number of rK2 along sigma: both classes rK2-free."""
+    return ex_alt_salt(g, sigma, complete_free_masks(g, r, node_budget))[0]
 
 
 def ex_salt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
                   node_budget: int = NODE_BUDGET) -> int:
-    """Strong variant: at least one class must be rK2-free.
-
-    The other class is unrestricted, so the value is the best greedy
-    alternation of a maximal set against the whole edge set, in either order.
-    """
-    table = _alternation_table(g, r, sigma, node_budget)
-    return max(max(first, second) for _, first, second in table)
+    """Strong variant: at least one class must be rK2-free."""
+    return ex_alt_salt(g, sigma, complete_free_masks(g, r, node_budget))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -260,4 +241,4 @@ def matching_chi_lower_bound(g: Graph, r: int, sigma: EdgeOrdering) -> int:
     """
     if not edge_subset_has_r_matching(g, range(g.m), r):
         return 0
-    return alternation_chi_lower(g.m, ex_alt_sigma(g, r, sigma), ex_salt_sigma(g, r, sigma))
+    return alternation_chi_lower(g.m, *ex_alt_salt(g, sigma, complete_free_masks(g, r)))

@@ -18,7 +18,7 @@ import os
 import sys
 import time
 
-from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_sigma, ex_salt_sigma
+from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_salt
 from .coloring import chromatic_number, coloring_from_extremal, export_dimacs
 from .errors import CapacityError
 from .graphs import (
@@ -33,7 +33,7 @@ from .hypergraphs import matching_graph
 from .matching import tutte_berge
 from .orderings import euler_ordering, star_formula_conditions
 from .smallgraphs import connected_graphs_up_to
-from .turan import turan_matchings
+from .turan import complete_free_masks, turan_matchings
 
 SCHEMA = "matchgraph-report/1"
 
@@ -129,23 +129,22 @@ def _resolve_ordering(g: Graph, choice: str) -> EdgeOrdering:
     raise ValueError(f"unknown ordering choice {choice!r}")
 
 
-def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):
-    """Exact chromatic data for KG(g, rK2) using alternation lower bounds."""
+def _solve(g: Graph, r: int, orderings: dict[str, EdgeOrdering], node_budget: int):
+    """ex(g, rK2), KG(g, rK2), its chromatic certificate and the alternation
+    bounds along each ordering, from one structure enumeration.  A truncated
+    enumeration raises CapacityError before the Kneser graph is built."""
+    masks = complete_free_masks(g, r)
+    ex_cert = turan_matchings(g, r, structures=(masks, True))
     kg = matching_graph(g, r)
     if kg.n == 0:
-        cert = chromatic_number(kg)
-        return kg, cert, 0, {}
-    bound_details = {}
-    lb = 0
+        return ex_cert, kg, chromatic_number(kg), 0, {}
+    bounds = {}
     for name, sigma in orderings.items():
-        ea = ex_alt_sigma(g, r, sigma)
-        es = ex_salt_sigma(g, r, sigma)
-        bound_details[name] = {
-            "ex_alt": ea,
-            "ex_salt": es,
-            "chi_lower": alternation_chi_lower(g.m, ea, es),
+        ea, es = ex_alt_salt(g, sigma, masks)
+        bounds[name] = {
+            "ex_alt": ea, "ex_salt": es, "chi_lower": alternation_chi_lower(g.m, ea, es),
         }
-        lb = max(lb, bound_details[name]["chi_lower"])
+    lb = max(detail["chi_lower"] for detail in bounds.values())
     cert = chromatic_number(
         kg,
         node_budget=node_budget,
@@ -153,7 +152,7 @@ def _chi_for_matching_graph(g: Graph, r: int, ex_cert, orderings, node_budget):
         known_lower_label="alternation bound",
         initial_coloring=coloring_from_extremal(kg.source, ex_cert.extremal_edges),
     )
-    return kg, cert, lb, bound_details
+    return ex_cert, kg, cert, lb, bounds
 
 
 def _chi_fields(cert) -> tuple[dict, str]:
@@ -186,10 +185,7 @@ def _family_report(
     node_budget: int, started: float, extra: dict | None = None,
 ) -> dict:
     """chi(KG(g, rK2)) under the Euler ordering versus a closed formula."""
-    ex_cert = turan_matchings(g, r)
-    kg, cert, lb, bounds = _chi_for_matching_graph(
-        g, r, ex_cert, {"euler": euler_ordering(g)}, node_budget
-    )
+    ex_cert, kg, cert, lb, bounds = _solve(g, r, {"euler": euler_ordering(g)}, node_budget)
     chi_fields, chi_flag = _chi_fields(cert)
     report = {
         "schema": SCHEMA,
@@ -205,10 +201,7 @@ def _family_report(
             "euler_ordering_lower_bound": lb,
             "bounds_by_ordering": bounds,
         },
-        "exactness": {
-            "chi": chi_flag,
-            "ex": "certified" if ex_cert.exact else "interval",
-        },
+        "exactness": {"chi": chi_flag, "ex": "certified"},
     }
     return _finish_report(report, started)
 
@@ -261,13 +254,12 @@ def cmd_analyze(
     }
     exactness["nu"] = "certified"
 
-    ex_cert = turan_matchings(g, r)
-    results["ex"] = ex_cert.ex_value if ex_cert.exact else None
+    sigma = _resolve_ordering(g, ordering)
+    ex_cert, kg, cert, lb, bounds = _solve(g, r, {ordering: sigma}, node_budget)
+    results["ex"] = ex_cert.ex_value
     results["extremal_edges"] = sorted(ex_cert.extremal_edges)
     results["ex_method"] = ex_cert.method
-    if not ex_cert.exact:
-        results["ex_interval"] = list(ex_cert.bounds)
-    exactness["ex"] = "certified" if ex_cert.exact else "interval"
+    exactness["ex"] = "certified"
 
     connected = is_connected(g)
     results["connected"] = connected
@@ -277,8 +269,7 @@ def cmd_analyze(
             "the equality chi = |E| - ex can fail on disconnected graphs;"
             " |E| - 2 ex is also reported for comparison"
         )
-        if ex_cert.exact:
-            results["edges_minus_2ex"] = g.m - 2 * ex_cert.ex_value
+        results["edges_minus_2ex"] = g.m - 2 * ex_cert.ex_value
     else:
         results["conjecture_applicable"] = True
 
@@ -289,12 +280,7 @@ def cmd_analyze(
         "odd_girth": _jsonable(conditions.odd_girth),
     }
 
-    sigma = _resolve_ordering(g, ordering)
     results["ordering"] = {"choice": ordering, "perm": list(sigma.perm)}
-
-    kg, cert, lb, bounds = _chi_for_matching_graph(
-        g, r, ex_cert, {ordering: sigma}, node_budget
-    )
     results["matching_graph_vertices"] = kg.n
     results["alternation_bounds"] = bounds
     results["alternation_chi_lower"] = lb
@@ -303,20 +289,17 @@ def cmd_analyze(
     exactness["chi"] = chi_flag
 
     audits = {}
-    if ex_cert.exact:
-        detail = bounds.get(ordering, {})
-        if detail:
-            audits["sandwich_ex_le_ex_alt_le_2ex"] = (
-                ex_cert.ex_value <= detail["ex_alt"] <= 2 * ex_cert.ex_value
-            )
-        if cert.exact:
-            audits["chi_le_edges_minus_ex"] = cert.chi <= g.m - ex_cert.ex_value
-            audits["lower_le_chi"] = lb <= cert.chi
-            audits["conjecture_equality"] = cert.chi == g.m - ex_cert.ex_value
-            if connected and not audits["conjecture_equality"]:
-                results["violations"] = [
-                    {"chi": cert.chi, "ex": ex_cert.ex_value, "m": g.m}
-                ]
+    detail = bounds.get(ordering, {})
+    if detail:
+        audits["sandwich_ex_le_ex_alt_le_2ex"] = (
+            ex_cert.ex_value <= detail["ex_alt"] <= 2 * ex_cert.ex_value
+        )
+    if cert.exact:
+        audits["chi_le_edges_minus_ex"] = cert.chi <= g.m - ex_cert.ex_value
+        audits["lower_le_chi"] = lb <= cert.chi
+        audits["conjecture_equality"] = cert.chi == g.m - ex_cert.ex_value
+        if connected and not audits["conjecture_equality"]:
+            results["violations"] = [{"chi": cert.chi, "ex": ex_cert.ex_value, "m": g.m}]
     results["audits"] = audits
 
     report = {
@@ -362,9 +345,8 @@ _scan_certificates = _shared_key_dicts()
 def _scan_one(task) -> dict:
     n, edges, r, node_budget = task
     g = Graph(n, edges)
-    ex_cert = turan_matchings(g, r)
     orderings = {"euler": euler_ordering(g), "identity": EdgeOrdering.identity(g.m)}
-    kg, cert, lb, bounds = _chi_for_matching_graph(g, r, ex_cert, orderings, node_budget)
+    ex_cert, kg, cert, lb, _ = _solve(g, r, orderings, node_budget)
     # The graph's own edge pairs and one shared extremal list keep the report small.
     extremal = sorted(ex_cert.extremal_edges)
     record = _scan_record(
@@ -375,7 +357,7 @@ def _scan_one(task) -> dict:
         extremal_edges=extremal,
         matching_graph_vertices=kg.n,
         alternation_chi_lower=lb,
-        certified=bool(cert.exact and ex_cert.exact),
+        certified=cert.exact,
     )
     if cert.exact:
         record["chi"] = cert.chi

@@ -16,10 +16,9 @@ vertices, the largest S) first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .errors import CertificateError
+from .errors import CapacityError, CertificateError
 from .graphs import Graph, _bits
 from .matching import edge_subset_has_r_matching
 
@@ -114,7 +113,6 @@ def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, in
             yield from add_parts(0, used, r - 1 - size, mask)
 
 
-@lru_cache(maxsize=32)
 def maximal_free_masks(g: Graph, r: int,
                        node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], bool]:
     """The inclusion-maximal rK2-free edge sets of g, as edge-index bitmasks.
@@ -123,8 +121,7 @@ def maximal_free_masks(g: Graph, r: int,
     Each connected part grown and each structure enumerated counts one node
     against ``node_budget``; when the budget runs out, ``complete`` is False
     and the masks are the maximal ones among the structures seen so far
-    (each still rK2-free).  Results are cached per (g, r, node_budget), so
-    ex and both alternation engines share one enumeration.
+    (each still rK2-free).
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -142,14 +139,35 @@ def maximal_free_masks(g: Graph, r: int,
             break
         seen.add(mask)
     kept: list[int] = []
+    holders = [0] * g.m  # per edge, bit j is set when kept[j] holds the edge
     for mask in sorted(seen, key=lambda mk: (-mk.bit_count(), mk)):
-        # Every kept mask is at least as large, so only they can contain it.
-        if all(mask & ~k for k in kept):
+        # Every kept mask is at least as large, so only they can contain it,
+        # and one does iff it holds every edge of the mask.
+        edges = _bits(mask)
+        containers = (1 << len(kept)) - 1
+        for e in edges:
+            containers &= holders[e]
+        if not containers:
+            for e in edges:
+                holders[e] |= 1 << len(kept)
             kept.append(mask)
     return tuple(kept), complete
 
 
-def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCertificate:
+def complete_free_masks(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> tuple[int, ...]:
+    """All the masks of :func:`maximal_free_masks`, or CapacityError when the
+    enumeration is truncated: alternation over part of them could come out
+    too small, and a too-small ex_alt makes |E| - ex_alt unsound."""
+    masks, complete = maximal_free_masks(g, r, node_budget)
+    if not complete:
+        raise CapacityError(
+            f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
+        )
+    return masks
+
+
+def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET,
+                    structures: tuple[tuple[int, ...], bool] | None = None) -> TuranCertificate:
     """Exact ex(G, rK2) with an extremal witness.
 
     ex is the size of the largest structure; every extremal set is a
@@ -157,8 +175,10 @@ def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCe
     tuple among all extremal sets.  When the structure enumeration exceeds
     ``node_budget`` the result is an inexact interval certificate: the best
     structure seen, up to |E|.  The enumeration reaches the stars first.
+    A caller that already holds ``maximal_free_masks(g, r, node_budget)``
+    passes it as ``structures``.
     """
-    masks, complete = maximal_free_masks(g, r, node_budget)
+    masks, complete = structures or maximal_free_masks(g, r, node_budget)
     value = masks[0].bit_count()
     witness = min(_bits(mk) for mk in masks if mk.bit_count() == value)
     if edge_subset_has_r_matching(g, witness, r):

@@ -234,17 +234,22 @@ def test_cmd_analyze_certifies_nu_above_20_vertices(tmp_path):
 
 def test_main_capacity_error_exits_cleanly(tmp_path, capsys, monkeypatch):
     # five nodes cannot enumerate the Turan structures of K_7 at r = 3, and
-    # the alternation engine refuses a truncated enumeration
-    real = matchgraph.cli.ex_alt_sigma
+    # the pipeline refuses a truncated enumeration before building KG(G, rK2)
+    import matchgraph.hypergraphs as hypergraphs
+
+    real = matchgraph.cli.complete_free_masks
     monkeypatch.setattr(
-        matchgraph.cli, "ex_alt_sigma", lambda g, r, sigma: real(g, r, sigma, node_budget=5)
+        matchgraph.cli, "complete_free_masks", lambda g, r: real(g, r, node_budget=5)
     )
+    built = []
+    monkeypatch.setattr(hypergraphs, "general_kneser", built.append)
     path = tmp_path / "k7.txt"
     path.write_text(format_graph(make_complete(7)), encoding="ascii")
     assert main(["analyze", str(path), "--r", "3"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "node budget" in captured.err
+    assert built == []
 
 
 def test_cmd_analyze_beyond_thirty_edges(tmp_path):
@@ -318,18 +323,25 @@ def test_cmd_analyze_euler_with_isolated_vertex_and_odd_degrees(tmp_path, capsys
 
 
 def test_one_kneser_build_per_instance(tmp_path, monkeypatch):
+    # one Kneser build and one structure enumeration per graph; the package
+    # reaches the enumeration only through turan's module binding
     import matchgraph.hypergraphs as hypergraphs
+    import matchgraph.turan as turan
 
-    built = []
+    built, enumerated = [], []
     real = hypergraphs.general_kneser
     monkeypatch.setattr(hypergraphs, "general_kneser", lambda h: built.append(h) or real(h))
+    real_masks = turan.maximal_free_masks
+    monkeypatch.setattr(turan, "maximal_free_masks",
+                        lambda g, *args: enumerated.append(g) or real_masks(g, *args))
     path = tmp_path / "k43.txt"
     path.write_text(format_graph(make_complete_bipartite(4, 3)), encoding="ascii")
     assert cmd_analyze(str(path), 2)["results"]["chi"] == 8
-    assert len(built) == 1
+    assert len(built) == len(enumerated) == 1
     built.clear()
+    enumerated.clear()
     report = cmd_scan(5, 2)
-    assert len(built) == report["results"]["graphs_scanned"] == 31
+    assert len(built) == len(enumerated) == report["results"]["graphs_scanned"] == 31
 
 
 def test_cli_never_builds_kneser_edge_view(tmp_path, monkeypatch):

@@ -115,3 +115,21 @@ def test_every_class_member_is_read():
         and node.name not in read
     ]
     assert unread == []
+
+
+def test_no_module_level_caches_in_package():
+    # a process-wide memo holds every argument it saw and ties callers
+    # together; a solve passes what it shares explicitly.  A per-instance
+    # cached_property stays allowed.
+    def name_of(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name_of(d) in ("lru_cache", "cache") for d in node.decorator_list)
+    ]
+    assert found == []

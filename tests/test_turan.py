@@ -14,7 +14,14 @@ from matchgraph import (
     turan_matchings,
 )
 
-from tests.oracles import brute_has_r_matching, brute_turan, brute_turan_witness, random_graph
+from matchgraph.turan import NODE_BUDGET, maximal_free_masks
+from tests.oracles import (
+    brute_has_r_matching,
+    brute_turan,
+    brute_turan_witness,
+    maximal_free_masks_pairwise,
+    random_graph,
+)
 
 
 def test_turan_examples():
@@ -95,3 +102,15 @@ def test_extremal_certificate_is_free():
             cert = turan_matchings(g, r)
             assert len(cert.extremal_edges) == cert.ex_value
             assert not brute_has_r_matching(g, cert.extremal_edges, r)
+
+
+def test_maximality_filter_matches_pairwise_oracle():
+    # the per-edge index of kept sets keeps exactly what the pairwise
+    # comparison kept, also on a truncated enumeration
+    rng = random.Random(16)
+    hosts = [(random_graph(rng, rng.randint(2, 8), rng.random()), rng.randint(1, 4), NODE_BUDGET)
+             for _ in range(60)]
+    hosts += [(make_complete(8), 4, NODE_BUDGET), (make_complete_bipartite(6, 6), 4, NODE_BUDGET),
+              (make_disjoint_matching(20), 14, 200_000)]
+    for g, r, budget in hosts:
+        assert maximal_free_masks(g, r, budget)[0] == maximal_free_masks_pairwise(g, r, budget)
