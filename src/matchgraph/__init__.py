@@ -3,9 +3,9 @@
 Builders for matching graphs KG(G, rK2) and general Kneser graphs KG(H),
 an exact chromatic-number solver with certificates, generalized and
 alternating Turan numbers, the Eulerian edge ordering with its
-alternation-based chromatic lower bounds, Tutte-Berge witnesses, and
-monogamous C4 decompositions of complete bipartite graphs, plus a CLI
-for reproduction tables and a small-graph conjecture scanner.
+alternation-based chromatic lower bounds, and Tutte-Berge witnesses that
+carry a maximum matching, plus a CLI for reproduction tables and a
+small-graph conjecture scanner.
 """
 
 from .alternation import (
@@ -25,14 +25,6 @@ from .coloring import (
     export_dimacs,
     greedy_clique,
     is_proper,
-)
-from .decompositions import (
-    C4Decomposition,
-    C4SearchResult,
-    VerificationResult,
-    make_block,
-    monogamous_c4_decomposition,
-    verify_c4_decomposition,
 )
 from .errors import CapacityError, CertificateError, GraphParseError, NotEulerianError
 from .graphs import (
@@ -65,8 +57,6 @@ from .matching import (
     TutteBergeWitness,
     edge_subset_has_r_matching,
     enumerate_matchings,
-    matching_number,
-    max_matching,
     tutte_berge,
 )
 from .orderings import StarFormulaReport, euler_ordering, star_formula_conditions

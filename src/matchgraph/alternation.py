@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapacityError
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .hypergraphs import Hypergraph
 from .matching import edge_subset_has_r_matching
 from .turan import NODE_BUDGET, complete_free_masks
@@ -95,10 +95,7 @@ def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool) -> int:
     best = 0
 
     def completes(side_mask_with_bit: int, elem: int) -> bool:
-        for i in through[elem]:
-            if not masks[i] & ~side_mask_with_bit:
-                return True
-        return False
+        return any(not masks[i] & ~side_mask_with_bit for i in _bits(through[elem]))
 
     def descend(pos: int, plus: int, minus: int, dead_plus: bool,
                 dead_minus: bool, last: int, count: int):

@@ -19,7 +19,7 @@ import sys
 import time
 
 from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_salt
-from .coloring import chromatic_number, coloring_from_extremal, export_dimacs
+from .coloring import DSATUR_BUDGET, chromatic_number, coloring_from_extremal, export_dimacs
 from .errors import CapacityError
 from .graphs import (
     Graph,
@@ -206,7 +206,7 @@ def _family_report(
     return _finish_report(report, started)
 
 
-def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
+def cmd_schrijver(n: int, r: int, node_budget: int = DSATUR_BUDGET) -> dict:
     """chi(KG(C_n, rK2)) versus the closed formula n - 2r + 2."""
     started = time.perf_counter()
     if n < 2 * r + 1:
@@ -217,7 +217,7 @@ def cmd_schrijver(n: int, r: int, node_budget: int = 10_000_000) -> dict:
     )
 
 
-def cmd_permutation(m: int, n: int, r: int, node_budget: int = 10_000_000) -> dict:
+def cmd_permutation(m: int, n: int, r: int, node_budget: int = DSATUR_BUDGET) -> dict:
     """chi(KG(K_{m,n}, rK2)) versus the closed formula m(n - r + 1)."""
     started = time.perf_counter()
     if not (m >= n >= r >= 1):
@@ -238,7 +238,7 @@ def cmd_analyze(
     path: str,
     r: int,
     ordering: str = "euler",
-    node_budget: int = 10_000_000,
+    node_budget: int = DSATUR_BUDGET,
 ) -> dict:
     """One-stop report for a graph file: matchings, Turan, chi, alternation."""
     started = time.perf_counter()
@@ -378,7 +378,7 @@ def cmd_scan(
     max_n: int,
     r: int,
     out_path: str | None = None,
-    node_budget: int = 10_000_000,
+    node_budget: int = DSATUR_BUDGET,
     jobs: int = 1,
 ) -> dict:
     """Scan all connected graphs on up to max_n vertices: does
@@ -458,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=["json", "table"], default="json")
     common.add_argument("--out", default=None, metavar="PATH")
-    common.add_argument("--max-nodes", type=int, default=10_000_000)
+    common.add_argument("--max-nodes", type=int, default=DSATUR_BUDGET)
 
     p = sub.add_parser("schrijver", parents=[common], help="chi of KG(C_n, rK2) vs n-2r+2")
     p.add_argument("--n", type=int, required=True)
@@ -503,8 +503,6 @@ def main(argv=None) -> int:
                 args.max_n, args.r, out_path=args.out,
                 node_budget=args.max_nodes, jobs=args.jobs,
             )
-            _emit(report, args.format, None)
-            return _exit_code(report)
         elif args.cmd == "analyze":
             report = cmd_analyze(
                 args.path, args.r, ordering=args.ordering, node_budget=args.max_nodes
@@ -514,10 +512,11 @@ def main(argv=None) -> int:
             return EXIT_OK
         else:  # pragma: no cover
             parser.error("unknown command")
+        # scan has already written its records to --out, one JSON line each.
+        _emit(report, args.format, None if args.cmd == "scan" else args.out)
     except (ValueError, OSError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _emit(report, args.format, args.out)
     return _exit_code(report)
 
 

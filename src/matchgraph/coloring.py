@@ -26,6 +26,9 @@ from .errors import CertificateError
 from .graphs import Graph
 from .hypergraphs import Hypergraph, KneserGraph
 
+# Default DSATUR node budget of `chromatic_number` and of every command.
+DSATUR_BUDGET = 10_000_000
+
 
 @dataclass(frozen=True)
 class ChromaticCertificate:
@@ -61,11 +64,11 @@ def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, 
 
     Vertices are ranked by (-degree, index).  From each start vertex the
     clique grows by the best-ranked vertex adjacent to all members so far;
-    the largest clique, first found on ties, wins.  The masks are relabelled
-    by rank, so the best-ranked common neighbour is the lowest set bit.
-    ``cap``, an upper bound on the clique number, ends the search once the
-    best clique reaches it: no later start can beat that clique, so the
-    result is the same as without it.
+    the largest clique, first found on ties, wins.  Each member is
+    better-ranked than every common neighbour left after it, so one walk
+    down the ranking grows a clique.  ``cap``, an upper bound on the clique
+    number, ends the search once the best clique reaches it: no later start
+    can beat that clique, so the result is the same as without it.
     """
     n = g.n
     if n == 0:
@@ -73,27 +76,23 @@ def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, 
     degrees = g.degrees
     masks = g.adj_masks
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
-    # Relabel with string operations, not a loop over edges.  bin(mask | top)
-    # reversed and cut before "1b0" lists bits 0..n-1 of mask.  Row j of the
-    # n x n matrix is vertex order[n-1-j]; by symmetry column v, read as a
-    # binary numeral, has bit p set exactly when order[p] is adjacent to v.
-    top = 1 << n
-    matrix = "".join([bin(masks[v] | top)[:2:-1] for v in reversed(order)])
-    ranked = [int(matrix[v::n], 2) for v in order]
-    best: tuple[int, ...] = (0,)
+    best: tuple[int, ...] = (order[0],)
     if cap is None:
         cap = n
-    for start, common in enumerate(ranked):
-        if len(best) >= cap or degrees[order[start]] < len(best):
+    for start in order:
+        if len(best) >= cap or degrees[start] < len(best):
             break  # no later start has room for a larger clique
         clique = [start]
-        while common:
-            p = (common & -common).bit_length() - 1
-            clique.append(p)
-            common &= ranked[p]
+        common = masks[start]
+        for v in order:
+            if not common:
+                break
+            if common >> v & 1:
+                clique.append(v)
+                common &= masks[v]
         if len(clique) > len(best):
             best = tuple(clique)
-    return tuple(sorted(order[p] for p in best))
+    return tuple(sorted(best))
 
 
 def _canonicalize(coloring: Sequence[int]) -> tuple[int, ...]:
@@ -112,7 +111,7 @@ class _Budget(Exception):
 
 def chromatic_number(
     g: Graph | KneserGraph,
-    node_budget: int = 10_000_000,
+    node_budget: int = DSATUR_BUDGET,
     known_lower: int | None = None,
     known_lower_label: str = "external",
     initial_coloring: Sequence[int] | None = None,

@@ -56,13 +56,14 @@ class Hypergraph:
         return len(self.hyperedges)
 
     @cached_property
-    def masks_through(self) -> tuple[tuple[int, ...], ...]:
-        """For each ground element, indices of hyperedges containing it."""
-        through: list[list[int]] = [[] for _ in range(self.ground_n)]
+    def masks_through(self) -> tuple[int, ...]:
+        """For each ground element, the bitmask of the hyperedges containing it."""
+        through = [0] * self.ground_n
         for i, e in enumerate(self.hyperedges):
+            bit = 1 << i
             for v in e:
-                through[v].append(i)
-        return tuple(tuple(t) for t in through)
+                through[v] |= bit
+        return tuple(through)
 
 
 @dataclass(frozen=True)
@@ -98,16 +99,12 @@ class KneserGraph:
 def general_kneser(h: Hypergraph) -> KneserGraph:
     """General Kneser graph of h: vertex i per hyperedge i, edges = disjoint pairs.
 
-    ``through[v]`` holds the hyperedges that contain ground element v; the
-    hyperedges meeting hyperedge i are the union of ``through`` over its
-    elements, and its neighbours are all the others.  Every hyperedge meets
-    itself, so the masks are loop-free, and meeting is symmetric.
+    The hyperedges meeting hyperedge i are the union of ``h.masks_through``
+    over its elements, and its neighbours are all the others.  Every
+    hyperedge meets itself, so the masks are loop-free, and meeting is
+    symmetric.
     """
-    through = [0] * h.ground_n
-    for i, e in enumerate(h.hyperedges):
-        bit = 1 << i
-        for v in e:
-            through[v] |= bit
+    through = h.masks_through
     everyone = (1 << h.k) - 1
     adj = []
     for e in h.hyperedges:

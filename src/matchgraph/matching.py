@@ -1,7 +1,8 @@
-"""Matching-number machinery: maximum matchings (validated ``Matching``s),
-Tutte-Berge certificates (one matcher run plus one blossom search per
-exposed vertex), r-matching enumeration (plain sorted edge-index tuples,
-checked by the enumerator's own disjointness test) and existence tests."""
+"""Matching-number machinery: Tutte-Berge certificates that carry a maximum
+matching (one matcher run plus one blossom search per exposed vertex; the
+matching is a validated ``Matching``), r-matching enumeration (plain sorted
+edge-index tuples, checked by the enumerator's own disjointness test) and
+existence tests."""
 
 from __future__ import annotations
 
@@ -37,11 +38,13 @@ class Matching(object):
 
 @dataclass(frozen=True)
 class TutteBergeWitness:
-    """A set S minimizing |V| - o(G-S) + |S|, certifying the matching number."""
+    """A set S minimizing |V| - o(G-S) + |S| and a maximum matching of nu
+    edges; together they certify the matching number."""
 
     s: frozenset[int]
     deficiency: int
     nu: int
+    matching: Matching
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +147,12 @@ def _neighbour_lists(g: Graph) -> list[tuple[int, ...]]:
     return [_bits(mask) for mask in g.adj_masks]
 
 
-def max_matching(g: Graph) -> Matching:
-    """A maximum-cardinality matching; its size is the matching number."""
-    adj = _neighbour_lists(g)
-    match, _ = _augmenting_matcher(g.n, adj)
-    edges = tuple(
-        g.edge_index[(v, match[v])] for v in range(g.n) if match[v] > v
-    )
-    return Matching(g, edges)
-
-
-def matching_number(g: Graph) -> int:
-    return len(max_matching(g))
-
-
 def edge_subset_has_r_matching(g: Graph, edge_ids: Iterable[int], r: int) -> bool:
     """True iff the spanning subgraph on the given edges has an r-matching."""
     if r <= 0:
         return True
     ids = list(edge_ids)
     if len(ids) < r:
-        return False
-    # Greedy pass settles most calls without touching the matcher.
-    used = 0
-    greedy = 0
-    vm = g.edge_vertex_masks
-    for e in ids:
-        if not used & vm[e]:
-            used |= vm[e]
-            greedy += 1
-            if greedy >= r:
-                return True
-    if 2 * greedy < r:
         return False
     vertices = sorted({v for e in ids for v in g.edges[e]})
     relabel = {v: i for i, v in enumerate(vertices)}
@@ -203,13 +180,16 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
     marks outer exactly the vertices such a path joins to it.  So the
     matcher runs once, then one search runs from each exposed vertex that
     has a neighbour; a search that augments contradicts the matcher and
-    raises CertificateError.  The Tutte-Berge equality
+    raises CertificateError.  The witness carries the matcher's matching,
+    and nu is its size.  The Tutte-Berge equality
     |V| - o(G-S) + |S| = 2 nu is checked explicitly: together with the
     matching it certifies the matching number.
     """
     n = g.n
     adj = _neighbour_lists(g)
-    match, nu = _augmenting_matcher(n, adj)
+    match, _ = _augmenting_matcher(n, adj)
+    matching = Matching(g, tuple(g.edge_index[(v, match[v])] for v in range(n) if match[v] > v))
+    nu = len(matching)
     missable = 0  # D as a bitmask
     for v in range(n):
         if match[v] != -1:
@@ -233,7 +213,7 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
             f"Tutte-Berge equality fails: |V| - o(G-S) + |S| = {n - o + len(s)},"
             f" but the matcher found nu = {nu}"
         )
-    return TutteBergeWitness(s=s, deficiency=o - len(s), nu=nu)
+    return TutteBergeWitness(s=s, deficiency=o - len(s), nu=nu, matching=matching)
 
 
 # ---------------------------------------------------------------------------

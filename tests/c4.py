@@ -7,13 +7,15 @@ edges, so the real constraint is that all left pairs and all right pairs
 of the blocks are distinct.  The constructor is a backtracking search over
 the lexicographically first uncovered edge, which makes success a
 checkable witness and a completed empty search an exhaustive refutation.
+No command runs this search; acceptance criterion 10 and
+``tests/test_decompositions.py`` check it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateError
+from matchgraph import CertificateError
 
 Block = tuple[tuple[int, int], ...]   # 4 (left, right) pairs of one 4-cycle
 

@@ -21,18 +21,21 @@ from matchgraph import (
     make_disjoint_matching,
     matching_chi_lower_bound,
     matching_graph,
-    matching_number,
-    monogamous_c4_decomposition,
     odd_components,
     star_formula_conditions,
     turan_matchings,
     tutte_berge,
-    verify_c4_decomposition,
 )
 from matchgraph.cli import cmd_scan
 from matchgraph.smallgraphs import connected_graphs_up_to
 
-from tests.oracles import exhaustive_tutte_berge, random_graph, random_hypergraph
+from tests.c4 import monogamous_c4_decomposition, verify_c4_decomposition
+from tests.oracles import (
+    exhaustive_tutte_berge,
+    nx_matching_size,
+    random_graph,
+    random_hypergraph,
+)
 
 
 def _report(number, text, started):
@@ -149,7 +152,7 @@ def test_criterion_6_tutte_berge():
         w = tutte_berge(g)
         assert 2 * w.nu == g.n - odd_components(g, w.s) + len(w.s)
         assert 2 * w.nu == exhaustive_tutte_berge(g)[0]
-        assert w.nu == matching_number(g)
+        assert w.nu == nx_matching_size(g)
         count += 1
     rng = random.Random(20240817)
     for _ in range(1000):
@@ -157,7 +160,7 @@ def test_criterion_6_tutte_berge():
         w = tutte_berge(g)
         assert 2 * w.nu == g.n - odd_components(g, w.s) + len(w.s)
         assert 2 * w.nu == exhaustive_tutte_berge(g)[0]
-        assert w.nu == matching_number(g)
+        assert w.nu == nx_matching_size(g)
     _report(6, f"Tutte-Berge equality, matching the exhaustive minimum, on {count}"
                " connected graphs (n <= 7) and 1000 random graphs (n <= 9)", started)
 

@@ -252,6 +252,22 @@ def test_main_capacity_error_exits_cleanly(tmp_path, capsys, monkeypatch):
     assert built == []
 
 
+def test_main_unwritable_out_exits_cleanly(tmp_path, capsys):
+    # --out names a directory, so writing the report fails after the solve
+    path = tmp_path / "c5.txt"
+    path.write_text(format_graph(make_cycle(5)), encoding="ascii")
+    for argv in (
+        ["schrijver", "--n", "5", "--r", "2"],
+        ["permutation", "--m", "3", "--n", "3", "--r", "2"],
+        ["analyze", str(path), "--r", "1"],
+        ["scan", "--max-n", "3", "--r", "1"],
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_USAGE, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), argv
+
+
 def test_cmd_analyze_beyond_thirty_edges(tmp_path):
     # K_{8,4}: 32 edges, Eulerian; chi = m(n - r + 1) = 24
     path = tmp_path / "k84.txt"

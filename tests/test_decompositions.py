@@ -1,6 +1,6 @@
 import pytest
 
-from matchgraph import (
+from tests.c4 import (
     C4Decomposition,
     make_block,
     monogamous_c4_decomposition,

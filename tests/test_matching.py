@@ -13,8 +13,6 @@ from matchgraph import (
     make_cycle,
     make_disjoint_matching,
     matching,
-    matching_number,
-    max_matching,
     odd_components,
     tutte_berge,
 )
@@ -42,19 +40,21 @@ def test_matching_type_invariants():
 
 
 def test_max_matching_examples():
-    assert len(max_matching(make_cycle(5))) == 2
-    assert len(max_matching(make_complete_bipartite(4, 3))) == 3
-    assert len(max_matching(PETERSEN)) == 5
-    assert len(max_matching(Graph(3, ()))) == 0
+    # the maximum matching that the Tutte-Berge witness carries
+    assert len(tutte_berge(make_cycle(5)).matching) == 2
+    assert len(tutte_berge(make_complete_bipartite(4, 3)).matching) == 3
+    assert len(tutte_berge(PETERSEN).matching) == 5
+    assert len(tutte_berge(Graph(3, ())).matching) == 0
 
 
 def test_max_matching_is_a_matching_and_optimal_vs_networkx():
     rng = random.Random(97)
     for _ in range(120):
         g = random_graph(rng, rng.randint(1, 10), rng.random())
-        mine = max_matching(g)
+        w = tutte_berge(g)
+        mine = w.matching
         Matching(g, mine.edges)  # revalidates disjointness
-        assert len(mine) == nx_matching_size(g)
+        assert len(mine) == w.nu == nx_matching_size(g)
 
 
 def test_tutte_berge_examples():
@@ -71,7 +71,7 @@ def test_tutte_berge_equality_random():
     for _ in range(150):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
         w = tutte_berge(g)
-        assert w.nu == matching_number(g)
+        assert len(w.matching) == w.nu == nx_matching_size(g)
         assert 2 * w.nu == exhaustive_tutte_berge(g)[0]
         # the witness value really is what the formula says
         o = odd_components(g, w.s)
@@ -88,7 +88,7 @@ def test_tutte_berge_beyond_exhaustive_range():
         (make_complete_bipartite(13, 11), frozenset(range(13, 24))),
     ]:
         w = tutte_berge(g)
-        assert w.nu == matching_number(g)
+        assert len(w.matching) == w.nu == nx_matching_size(g)
         assert w.s == s
         assert g.n - odd_components(g, w.s) + len(w.s) == 2 * w.nu
 
@@ -203,7 +203,7 @@ def test_has_r_matching_agrees_with_max_matching():
     rng = random.Random(3)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
-        nu = matching_number(g)
+        nu = nx_matching_size(g)
         for r in range(0, nu + 2):
             assert _has_r_matching(g, r) == (nu >= r)
 
