@@ -1,11 +1,14 @@
 """Chromatic numbers of matching graphs and general Kneser graphs.
 
 Builders for matching graphs KG(G, rK2) and general Kneser graphs KG(H),
-an exact chromatic-number solver with certificates, generalized and
-alternating Turan numbers, the Eulerian edge ordering with its
-alternation-based chromatic lower bounds, and Tutte-Berge witnesses that
-carry a maximum matching, plus a CLI for reproduction tables and a
-small-graph conjecture scanner.
+an exact chromatic-number solver with certificates, generalized Turan
+numbers whose certificate lists every maximal rK2-free edge set
+(``turan_matchings(g, r).masks``), alternating Turan numbers and chromatic
+lower bounds along an edge ordering from those sets
+(``alternation.ex_alt_salt`` and ``alternation.alternation_chi_lower``),
+the Eulerian edge ordering, and Tutte-Berge witnesses that carry a maximum
+matching, plus a CLI for reproduction tables and a small-graph conjecture
+scanner.
 """
 
 from .alternation import (
@@ -13,9 +16,6 @@ from .alternation import (
     alt,
     alt_sigma,
     chi_lower_bounds,
-    ex_alt_sigma,
-    ex_salt_sigma,
-    matching_chi_lower_bound,
     salt_sigma,
 )
 from .coloring import (

@@ -9,8 +9,9 @@ these equal the alternating Turan numbers ex_alt / ex_salt, computed here
 directly on the graph side as well, which gives two independent engines
 for the same quantities.  The graph side needs no search: each color class
 lies inside an inclusion-maximal rK2-free edge set (the Tutte-Berge
-structures of ``turan.maximal_free_masks``), and for a fixed pair of sets
-the earliest-first greedy finds the longest alternation along sigma.
+structures that ``turan.turan_matchings(g, r).masks`` lists), and for a
+fixed pair of sets the earliest-first greedy finds the longest alternation
+along sigma.
 
 Both quantities yield chromatic lower bounds for general Kneser graphs:
     chi(KG(H)) >= |ground| - alt_sigma(H)
@@ -25,8 +26,6 @@ from typing import Sequence
 from .errors import CapacityError
 from .graphs import Graph, _bits
 from .hypergraphs import Hypergraph
-from .matching import edge_subset_has_r_matching
-from .turan import NODE_BUDGET, complete_free_masks
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,7 @@ def _alternation(first: int, second: int) -> int:
 
 def ex_alt_salt(g: Graph, sigma: EdgeOrdering, masks: tuple[int, ...]) -> tuple[int, int]:
     """(ex_alt, ex_salt) of rK2 along sigma, where ``masks`` are all the
-    inclusion-maximal rK2-free edge sets of g (``turan.complete_free_masks``).
+    inclusion-maximal rK2-free edge sets of g (``turan_matchings(g, r).masks``).
 
     Each rK2-free class lies inside a maximal set.  ex_salt leaves one class
     unrestricted, so it is the best greedy alternation of a maximal set
@@ -194,18 +193,6 @@ def ex_alt_salt(g: Graph, sigma: EdgeOrdering, masks: tuple[int, ...]) -> tuple[
     return best, max(max(first, second) for _, first, second in table)
 
 
-def ex_alt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
-                 node_budget: int = NODE_BUDGET) -> int:
-    """Alternating Turan number of rK2 along sigma: both classes rK2-free."""
-    return ex_alt_salt(g, sigma, complete_free_masks(g, r, node_budget))[0]
-
-
-def ex_salt_sigma(g: Graph, r: int, sigma: EdgeOrdering,
-                  node_budget: int = NODE_BUDGET) -> int:
-    """Strong variant: at least one class must be rK2-free."""
-    return ex_alt_salt(g, sigma, complete_free_masks(g, r, node_budget))[1]
-
-
 # ---------------------------------------------------------------------------
 # Chromatic lower bounds.
 # ---------------------------------------------------------------------------
@@ -225,17 +212,7 @@ def chi_lower_bounds(h: Hypergraph, sigma: EdgeOrdering) -> tuple[int, int]:
 
 def alternation_chi_lower(m: int, ex_alt: int, ex_salt: int) -> int:
     """chi(KG(G, rK2)) >= max(|E| - ex_alt, |E| + 1 - ex_salt) for G with m
-    edges and at least one r-matching, from one ordering's ex_alt_sigma and
-    ex_salt_sigma."""
+    edges and at least one r-matching, from one ordering's ex_alt and ex_salt
+    (``ex_alt_salt``)."""
     return max(m - ex_alt, m + 1 - ex_salt)
 
-
-def matching_chi_lower_bound(g: Graph, r: int, sigma: EdgeOrdering) -> int:
-    """Best alternation lower bound for chi(KG(g, rK2)) from one ordering.
-
-    Uses the graph-side engines through :func:`alternation_chi_lower`.
-    Clamped to 0 when g has no r-matching (empty Kneser graph).
-    """
-    if not edge_subset_has_r_matching(g, range(g.m), r):
-        return 0
-    return alternation_chi_lower(g.m, *ex_alt_salt(g, sigma, complete_free_masks(g, r)))

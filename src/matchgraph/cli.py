@@ -33,7 +33,7 @@ from .hypergraphs import matching_graph
 from .matching import tutte_berge
 from .orderings import euler_ordering, star_formula_conditions
 from .smallgraphs import connected_graphs_up_to
-from .turan import complete_free_masks, turan_matchings
+from .turan import turan_matchings
 
 SCHEMA = "matchgraph-report/1"
 
@@ -133,14 +133,13 @@ def _solve(g: Graph, r: int, orderings: dict[str, EdgeOrdering], node_budget: in
     """ex(g, rK2), KG(g, rK2), its chromatic certificate and the alternation
     bounds along each ordering, from one structure enumeration.  A truncated
     enumeration raises CapacityError before the Kneser graph is built."""
-    masks = complete_free_masks(g, r)
-    ex_cert = turan_matchings(g, r, structures=(masks, True))
+    ex_cert = turan_matchings(g, r)
     kg = matching_graph(g, r)
     if kg.n == 0:
         return ex_cert, kg, chromatic_number(kg), 0, {}
     bounds = {}
     for name, sigma in orderings.items():
-        ea, es = ex_alt_salt(g, sigma, masks)
+        ea, es = ex_alt_salt(g, sigma, ex_cert.masks)
         bounds[name] = {
             "ex_alt": ea, "ex_salt": es, "chi_lower": alternation_chi_lower(g.m, ea, es),
         }
@@ -278,6 +277,7 @@ def cmd_analyze(
         "applicable": conditions.applicable,
         "formula_value": conditions.formula_value,
         "odd_girth": _jsonable(conditions.odd_girth),
+        "prefix_search": conditions.prefix_search,
     }
 
     results["ordering"] = {"choice": ordering, "perm": list(sigma.perm)}

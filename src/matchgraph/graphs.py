@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import GraphParseError, NotEulerianError
+from .errors import CapacityError, GraphParseError, NotEulerianError
 
 INFINITE = math.inf
 
@@ -183,7 +183,8 @@ def _bits(mask: int) -> tuple[int, ...]:
 
 def _has_inner_edge(g: Graph, vertices: int) -> bool:
     """Does some edge join two vertices of the vertex mask?"""
-    return any(g.adj_masks[v] & vertices for v in range(g.n) if vertices >> v & 1)
+    adj = g.adj_masks
+    return any(adj[v] & vertices for v in _bits(vertices))
 
 
 def odd_girth(g: Graph) -> int | float:
@@ -230,9 +231,9 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
     only inside the equal-degree class that holds position k, so that the
     first k vertices are pairwise non-adjacent: the lexicographically first
     independent choice from that class is moved to its front.  Returns None
-    when no degree-respecting order has such a prefix, and also when the
-    search places ``PREFIX_SEARCH_BUDGET`` vertices without finding one, so
-    None means "no prefix found", never a wrong prefix.
+    when no degree-respecting order has such a prefix, and raises
+    CapacityError when the search places more than ``PREFIX_SEARCH_BUDGET``
+    vertices before it settles that.
     """
     degrees = g.degrees
     base = sorted(range(g.n), key=lambda v: (-degrees[v], v))
@@ -263,7 +264,9 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
             if not blocked >> v & 1:
                 placed += 1
                 if placed > PREFIX_SEARCH_BUDGET:
-                    return None
+                    raise CapacityError(
+                        f"independent-prefix search exceeded {PREFIX_SEARCH_BUDGET} vertices"
+                    )
                 rest = pick(i + 1, need - 1, blocked | adj[v])
                 if rest is not None:
                     return [v] + rest

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .alternation import EdgeOrdering
+from .errors import CapacityError
 from .graphs import (
     DegreeOrder,
     Graph,
@@ -42,7 +43,7 @@ class StarFormulaReport:
     connected: bool
     odd_girth: float
     order: DegreeOrder | None
-    independent_prefix_ok: bool
+    prefix_search: str              # "found", "none" (also for r outside 2..n) or "budget"
     top_degree: int | None          # degree of v_{r-1}
     next_degree: int | None         # degree of v_r
     degree_threshold: float         # max(odd_girth/2, (top_degree+1)/4)
@@ -55,13 +56,21 @@ class StarFormulaReport:
 
 
 def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
-    """Evaluate every hypothesis of the top-degree formula; never raises."""
+    """Evaluate every hypothesis of the top-degree formula; never raises.
+
+    ``prefix_search`` tells a refuted independent-prefix hypothesis
+    ("none") from a search that ran out of budget ("budget").
+    """
     connected = is_connected(g)
     girth = odd_girth(g)
-    order = degree_order(g, require_independent_prefix=r - 1) if 2 <= r <= g.n else None
+    try:
+        order = degree_order(g, require_independent_prefix=r - 1) if 2 <= r <= g.n else None
+        prefix_search = "none" if order is None else "found"
+    except CapacityError:
+        order, prefix_search = None, "budget"
     if order is None:
         return StarFormulaReport(
-            r, connected, girth, None, False, None, None, -math.inf,
+            r, connected, girth, None, prefix_search, None, None, -math.inf,
             False, False, None, None, None, False,
         )
     degs = [g.degrees[v] for v in order.perm]
@@ -74,7 +83,7 @@ def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
     sum_top = sum(degs[: r - 1])
     applicable = connected and ratio_ok and parity_ok
     return StarFormulaReport(
-        r, connected, girth, order, True, top_degree, next_degree,
+        r, connected, girth, order, prefix_search, top_degree, next_degree,
         threshold, ratio_ok, parity_ok, odd_top, sum_top,
         g.m - sum_top, applicable,
     )

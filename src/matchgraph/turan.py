@@ -8,14 +8,14 @@ sets C_1, C_2, ... (of size at least 3, each inducing a connected subgraph,
 avoiding S), with |S| + sum floor(|C_i| / 2) <= r - 1.  For fixed r there
 are polynomially many structures; enumerating them settles ex, and the
 same maximal sets drive the graph-side alternation engines.  The
-enumeration has a node budget; a truncated run gives the best structure
-seen as a lower end, and it sees the stars (all edges meeting r - 1
-vertices, the largest S) first.
+enumeration has a node budget and raises CapacityError when it runs out:
+part of the maximal sets bounds neither ex from above nor ex_alt from
+below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CapacityError, CertificateError
@@ -29,9 +29,9 @@ NODE_BUDGET = 5_000_000
 class TuranCertificate:
     ex_value: int
     extremal_edges: frozenset[int]
-    method: str        # "structure"
-    exact: bool = True
-    bounds: tuple[int, int] | None = None
+    method: str        # always "structure"; the benchmark's tracer reads it
+    # every inclusion-maximal rK2-free edge set; the complete list proves ex
+    masks: tuple[int, ...] = field(repr=False, compare=False)
 
 
 def _incident_masks(g: Graph) -> list[int]:
@@ -89,11 +89,7 @@ def _odd_parts(g: Graph, inc: list[int], max_cost: int,
 
 
 def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, int]]):
-    """Edge masks of every structure of (g, r), one per (S, parts) choice.
-
-    S runs from size min(r - 1, n) down, so a truncated run has seen the
-    stars (all edges meeting r - 1 vertices) first.
-    """
+    """Edge masks of every structure of (g, r), one per (S, parts) choice."""
 
     def add_parts(start: int, used: int, budget: int, mask: int):
         yield mask
@@ -113,30 +109,31 @@ def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, in
             yield from add_parts(0, used, r - 1 - size, mask)
 
 
-def maximal_free_masks(g: Graph, r: int,
-                       node_budget: int = NODE_BUDGET) -> tuple[tuple[int, ...], bool]:
-    """The inclusion-maximal rK2-free edge sets of g, as edge-index bitmasks.
+def maximal_free_masks(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> tuple[int, ...]:
+    """The inclusion-maximal rK2-free edge sets of g, as edge-index bitmasks,
+    largest first, ties by value.
 
-    Returns (masks, complete).  Masks come largest first, ties by value.
     Each connected part grown and each structure enumerated counts one node
-    against ``node_budget``; when the budget runs out, ``complete`` is False
-    and the masks are the maximal ones among the structures seen so far
-    (each still rK2-free).
+    against ``node_budget``.  Running out raises CapacityError: alternation
+    over part of the sets could come out too small, and a too-small ex_alt
+    makes |E| - ex_alt unsound.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if not edge_subset_has_r_matching(g, range(g.m), r):
         # The whole edge set is already rK2-free.
-        return ((1 << g.m) - 1,), True
+        return ((1 << g.m) - 1,)
     inc = _incident_masks(g)
     parts, nodes = _odd_parts(g, inc, r - 1, node_budget)
-    seen = {0}  # the empty set is rK2-free, so a truncated run still has a mask
-    complete = True
+    seen = set()
+    # _structures yields at least one mask, so a part search that stopped
+    # past the budget raises on the first one.
     for mask in _structures(g, r, inc, parts):
         nodes += 1
         if nodes > node_budget:
-            complete = False
-            break
+            raise CapacityError(
+                f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
+            )
         seen.add(mask)
     kept: list[int] = []
     holders = [0] * g.m  # per edge, bit j is set when kept[j] holds the edge
@@ -151,40 +148,22 @@ def maximal_free_masks(g: Graph, r: int,
             for e in edges:
                 holders[e] |= 1 << len(kept)
             kept.append(mask)
-    return tuple(kept), complete
+    return tuple(kept)
 
 
-def complete_free_masks(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> tuple[int, ...]:
-    """All the masks of :func:`maximal_free_masks`, or CapacityError when the
-    enumeration is truncated: alternation over part of them could come out
-    too small, and a too-small ex_alt makes |E| - ex_alt unsound."""
-    masks, complete = maximal_free_masks(g, r, node_budget)
-    if not complete:
-        raise CapacityError(
-            f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
-        )
-    return masks
-
-
-def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET,
-                    structures: tuple[tuple[int, ...], bool] | None = None) -> TuranCertificate:
-    """Exact ex(G, rK2) with an extremal witness.
+def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCertificate:
+    """Exact ex(G, rK2) with an extremal witness and the maximal sets behind it.
 
     ex is the size of the largest structure; every extremal set is a
     structure, so the witness is the lexicographically smallest edge-index
-    tuple among all extremal sets.  When the structure enumeration exceeds
-    ``node_budget`` the result is an inexact interval certificate: the best
-    structure seen, up to |E|.  The enumeration reaches the stars first.
-    A caller that already holds ``maximal_free_masks(g, r, node_budget)``
-    passes it as ``structures``.
+    tuple among all extremal sets.  The certificate's ``masks`` are all of
+    :func:`maximal_free_masks`, which ``alternation.ex_alt_salt`` takes for
+    ex_alt and ex_salt.  CapacityError when the enumeration exceeds
+    ``node_budget``.
     """
-    masks, complete = structures or maximal_free_masks(g, r, node_budget)
+    masks = maximal_free_masks(g, r, node_budget)
     value = masks[0].bit_count()
     witness = min(_bits(mk) for mk in masks if mk.bit_count() == value)
     if edge_subset_has_r_matching(g, witness, r):
         raise CertificateError(f"structure witness {witness} contains an {r}-matching")
-    if complete:
-        return TuranCertificate(value, frozenset(witness), "structure")
-    return TuranCertificate(
-        value, frozenset(witness), "structure", exact=False, bounds=(value, g.m)
-    )
+    return TuranCertificate(value, frozenset(witness), "structure", masks)

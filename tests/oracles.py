@@ -8,7 +8,7 @@ search code so the two sides of every comparison stay independent.
 from __future__ import annotations
 
 import random
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, permutations, product
 
 import networkx as nx
 
@@ -142,18 +142,18 @@ def brute_turan_witness(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
     raise ValueError("r must be at least 1")
 
 
-def maximal_free_masks_pairwise(g: Graph, r: int, node_budget: int) -> tuple[int, ...]:
+def maximal_free_masks_pairwise(g: Graph, r: int) -> tuple[int, ...]:
     """The masks of turan.maximal_free_masks by a pairwise maximality
-    filter: each structure seen, largest first, is compared with every kept
-    mask.  The structures seen within the budget come from the library's
-    own enumerator; only the filter is independent."""
+    filter: each structure, largest first, is compared with every kept
+    mask.  The structures come from the library's own enumerator; only the
+    filter is independent."""
     from matchgraph import turan
 
     if not brute_has_r_matching(g, range(g.m), r):
         return ((1 << g.m) - 1,)
     inc = turan._incident_masks(g)
-    parts, nodes = turan._odd_parts(g, inc, r - 1, node_budget)
-    seen = {0, *islice(turan._structures(g, r, inc, parts), max(node_budget - nodes, 0))}
+    parts, _ = turan._odd_parts(g, inc, r - 1, turan.NODE_BUDGET)
+    seen = set(turan._structures(g, r, inc, parts))
     kept: list[int] = []
     for mask in sorted(seen, key=lambda mk: (-mk.bit_count(), mk)):
         if all(mask & ~k for k in kept):

@@ -11,22 +11,20 @@ from matchgraph import (
     EdgeOrdering,
     chi_lower_bounds,
     chromatic_number,
-    coloring_from_extremal,
-    ex_alt_sigma,
-    ex_salt_sigma,
     euler_ordering,
     general_kneser,
     make_complete_bipartite,
     make_cycle,
     make_disjoint_matching,
-    matching_chi_lower_bound,
     matching_graph,
     odd_components,
     star_formula_conditions,
     turan_matchings,
     tutte_berge,
 )
-from matchgraph.cli import cmd_scan
+from matchgraph.alternation import ex_alt_salt
+from matchgraph.cli import _solve, cmd_scan
+from matchgraph.coloring import DSATUR_BUDGET
 from matchgraph.smallgraphs import connected_graphs_up_to
 
 from tests.c4 import monogamous_c4_decomposition, verify_c4_decomposition
@@ -42,20 +40,17 @@ def _report(number, text, started):
     print(f"[acceptance] criterion {number}: PASS ({time.time() - started:.1f}s) {text}")
 
 
+def _solve_euler(g, r):
+    """The CLI's solve along the Euler ordering: (ex, Kneser graph,
+    chromatic certificate, lower bound, bounds by ordering)."""
+    return _solve(g, r, {"euler": euler_ordering(g)}, DSATUR_BUDGET)
+
+
 def test_criterion_1_schrijver_table():
     started = time.time()
     for n, r in [(5, 2), (6, 2), (7, 2), (7, 3), (8, 3), (9, 3)]:
         case_start = time.time()
-        g = make_cycle(n)
-        kg = matching_graph(g, r)
-        lb = matching_chi_lower_bound(g, r, euler_ordering(g))
-        hot = chromatic_number(
-            kg,
-            known_lower=lb,
-            initial_coloring=coloring_from_extremal(
-                kg.source, turan_matchings(g, r).extremal_edges
-            ),
-        )
+        _, kg, hot, _, _ = _solve_euler(make_cycle(n), r)
         cold = chromatic_number(kg)
         assert hot.exact and cold.exact
         assert hot.chi == cold.chi == n - 2 * r + 2, (n, r)
@@ -71,7 +66,7 @@ def test_criterion_2_cycle_turan_values():
             if n < 2 * r + 1:
                 continue
             cert = turan_matchings(make_cycle(n), r)
-            assert cert.exact and cert.method == "structure"
+            assert cert.method == "structure"
             assert cert.ex_value == 2 * r - 2, (n, r)
             checked += 1
     _report(2, f"ex(C_n, rK2) = 2r - 2 certified by structures on {checked} cases", started)
@@ -80,16 +75,7 @@ def test_criterion_2_cycle_turan_values():
 def test_criterion_3_permutation_graphs():
     started = time.time()
     for m, n, r in [(2, 2, 2), (4, 2, 2), (6, 2, 2), (4, 3, 2)]:
-        g = make_complete_bipartite(m, n)
-        kg = matching_graph(g, r)
-        lb = matching_chi_lower_bound(g, r, euler_ordering(g))
-        hot = chromatic_number(
-            kg,
-            known_lower=lb,
-            initial_coloring=coloring_from_extremal(
-                kg.source, turan_matchings(g, r).extremal_edges
-            ),
-        )
+        _, kg, hot, _, _ = _solve_euler(make_complete_bipartite(m, n), r)
         cold = chromatic_number(kg)
         assert hot.exact and cold.exact
         assert hot.chi == cold.chi == m * (n - r + 1), (m, n, r)
@@ -102,7 +88,7 @@ def test_criterion_4_disconnected_inequality():
     g = make_disjoint_matching(5)
     ex = turan_matchings(g, 2)
     chi = chromatic_number(matching_graph(g, 2)).chi
-    assert ex.exact and ex.ex_value == 1
+    assert ex.ex_value == 1
     assert chi == 3
     assert chi == g.m - 2 * ex.ex_value
     assert chi != g.m - ex.ex_value
@@ -120,21 +106,12 @@ def test_criterion_5_star_formula_pipeline():
     for g, r in cases:
         rep = star_formula_conditions(g, r)
         assert rep.applicable, (g, r)
-        sigma = euler_ordering(g)
+        _, kg, cert, lb, bounds = _solve_euler(g, r)
         if rep.odd_top_count == 0:
-            assert ex_salt_sigma(g, r, sigma) <= 1 + rep.sum_top_degrees
+            assert bounds["euler"]["ex_salt"] <= 1 + rep.sum_top_degrees
         else:
-            assert ex_alt_sigma(g, r, sigma) <= rep.sum_top_degrees
-        lb = matching_chi_lower_bound(g, r, sigma)
+            assert bounds["euler"]["ex_alt"] <= rep.sum_top_degrees
         assert lb == rep.formula_value
-        kg = matching_graph(g, r)
-        cert = chromatic_number(
-            kg,
-            known_lower=lb,
-            initial_coloring=coloring_from_extremal(
-                kg.source, turan_matchings(g, r).extremal_edges
-            ),
-        )
         assert cert.exact and cert.chi == rep.formula_value
         # independent cold solve where the matching graph is small enough
         if g.m <= 12:
@@ -175,11 +152,12 @@ def test_criterion_7_sandwich():
             continue
         r = rng.randint(1, 3)
         sigma = EdgeOrdering(tuple(rng.sample(range(g.m), g.m)))
-        ex = turan_matchings(g, r).ex_value
-        ea = ex_alt_sigma(g, r, sigma)
+        cert = turan_matchings(g, r)
+        ex = cert.ex_value
+        ea = ex_alt_salt(g, sigma, cert.masks)[0]
         assert ex <= ea <= 2 * ex, (g.edges, r, sigma.perm)
         checked += 1
-    _report(7, f"ex <= ex_alt_sigma <= 2 ex on {checked} random (G, sigma, r)", started)
+    _report(7, f"ex <= ex_alt along sigma <= 2 ex on {checked} random (G, sigma, r)", started)
 
 
 def test_criterion_8_correspondence():
@@ -195,8 +173,9 @@ def test_criterion_8_correspondence():
         r = rng.randint(1, 3)
         sigma = EdgeOrdering(tuple(rng.sample(range(g.m), g.m)))
         mh = matching_hypergraph(g, r)
-        assert alt_sigma(mh, sigma) == ex_alt_sigma(g, r, sigma)
-        assert salt_sigma(mh, sigma) == ex_salt_sigma(g, r, sigma)
+        assert (alt_sigma(mh, sigma), salt_sigma(mh, sigma)) == ex_alt_salt(
+            g, sigma, turan_matchings(g, r).masks
+        )
         checked += 1
     _report(8, f"alt/salt of the matching hypergraph equal ex_alt/ex_salt on "
                f"{checked} random instances", started)

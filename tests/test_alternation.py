@@ -11,18 +11,16 @@ from matchgraph import (
     alt_sigma,
     chi_lower_bounds,
     chromatic_number,
-    ex_alt_sigma,
-    ex_salt_sigma,
     euler_ordering,
     general_kneser,
     make_complete,
     make_complete_bipartite,
     make_cycle,
-    matching_chi_lower_bound,
     matching_hypergraph,
     salt_sigma,
     turan_matchings,
 )
+from matchgraph.alternation import ex_alt_salt
 
 from tests.oracles import (
     exhaustive_alt_sigma,
@@ -102,20 +100,20 @@ def test_capacity_errors():
     h = Hypergraph(19, ())
     with pytest.raises(CapacityError):
         alt_sigma(h, EdgeOrdering.identity(19))
-    # the graph-side engines have no edge cap, only a node budget
-    c6 = make_cycle(6)
+    # the graph-side engine has no edge cap; the structure enumeration that
+    # lists its maximal sets has a node budget
     with pytest.raises(CapacityError):
-        ex_alt_sigma(c6, 2, EdgeOrdering.identity(6), node_budget=5)
-    with pytest.raises(CapacityError):
-        ex_salt_sigma(c6, 2, EdgeOrdering.identity(6), node_budget=5)
+        turan_matchings(make_cycle(6), 2, node_budget=5)
 
 
 def test_ex_alt_examples():
     c4 = make_cycle(4)
     ident = EdgeOrdering.identity(4)
-    assert ex_alt_sigma(c4, 2, ident) == 3
+    assert ex_alt_salt(c4, ident, turan_matchings(c4, 2).masks)[0] == 3
     # edgeless graph
-    assert ex_alt_sigma(Graph(3, ()), 2, EdgeOrdering.identity(0)) == 0
+    edgeless = Graph(3, ())
+    masks = turan_matchings(edgeless, 2).masks
+    assert ex_alt_salt(edgeless, EdgeOrdering.identity(0), masks)[0] == 0
 
 
 def test_ex_alt_salt_against_exhaustive_oracle():
@@ -129,20 +127,22 @@ def test_ex_alt_salt_against_exhaustive_oracle():
     for g in graphs:
         r = rng.randint(1, 5)
         sigma = EdgeOrdering(tuple(rng.sample(range(g.m), g.m)))
-        assert ex_alt_sigma(g, r, sigma) == exhaustive_ex_alt(g, r, sigma, strong=False)
-        assert ex_salt_sigma(g, r, sigma) == exhaustive_ex_alt(g, r, sigma, strong=True)
+        ea, es = ex_alt_salt(g, sigma, turan_matchings(g, r).masks)
+        assert ea == exhaustive_ex_alt(g, r, sigma, strong=False)
+        assert es == exhaustive_ex_alt(g, r, sigma, strong=True)
 
 
 def test_ex_alt_beyond_thirty_edges():
     for a, b in ((11, 11), (13, 11)):
         g = make_complete_bipartite(a, b)
-        ex = turan_matchings(g, 2).ex_value
+        cert = turan_matchings(g, 2)
+        ex = cert.ex_value
         assert ex == a
         shuffled = EdgeOrdering(tuple(random.Random(a).sample(range(g.m), g.m)))
         for sigma in (EdgeOrdering.identity(g.m), shuffled):
-            ea = ex_alt_sigma(g, 2, sigma)
+            ea, es = ex_alt_salt(g, sigma, cert.masks)
             assert ex <= ea <= 2 * ex
-            assert ea <= ex_salt_sigma(g, 2, sigma)
+            assert ea <= es
 
 
 def test_correspondence_matching_hypergraph():
@@ -152,8 +152,9 @@ def test_correspondence_matching_hypergraph():
         r = rng.randint(1, 3)
         sigma = EdgeOrdering(tuple(rng.sample(range(g.m), g.m)))
         mh = matching_hypergraph(g, r)
-        assert alt_sigma(mh, sigma) == ex_alt_sigma(g, r, sigma)
-        assert salt_sigma(mh, sigma) == ex_salt_sigma(g, r, sigma)
+        assert (alt_sigma(mh, sigma), salt_sigma(mh, sigma)) == ex_alt_salt(
+            g, sigma, turan_matchings(g, r).masks
+        )
 
 
 def test_chi_lower_bounds_examples():
@@ -180,8 +181,3 @@ def test_chi_lower_bounds_sound_on_random_hypergraphs():
         chi = chromatic_number(general_kneser(h)).chi
         assert chi >= lo_alt and chi >= lo_salt
 
-
-def test_matching_chi_lower_bound_clamps_empty():
-    star = make_complete_bipartite(1, 4)
-    sigma = EdgeOrdering.identity(star.m)
-    assert matching_chi_lower_bound(star, 2, sigma) == 0

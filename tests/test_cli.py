@@ -237,9 +237,9 @@ def test_main_capacity_error_exits_cleanly(tmp_path, capsys, monkeypatch):
     # the pipeline refuses a truncated enumeration before building KG(G, rK2)
     import matchgraph.hypergraphs as hypergraphs
 
-    real = matchgraph.cli.complete_free_masks
+    real = matchgraph.cli.turan_matchings
     monkeypatch.setattr(
-        matchgraph.cli, "complete_free_masks", lambda g, r: real(g, r, node_budget=5)
+        matchgraph.cli, "turan_matchings", lambda g, r: real(g, r, node_budget=5)
     )
     built = []
     monkeypatch.setattr(hypergraphs, "general_kneser", built.append)
@@ -315,14 +315,30 @@ def test_cmd_analyze_disconnected_flag(tmp_path):
 
 def test_cmd_analyze_star_prefix_search_is_budgeted(tmp_path):
     # 20K2 has no independent 21-vertex prefix; the unbudgeted tied-class
-    # search took about 14 s to refute one, the budgeted one gives up
+    # search took about 14 s to refute one, the budgeted one gives up and
+    # says so, apart from a prefix found (C7) or refuted (C5 has no three
+    # independent vertices)
     path = tmp_path / "m20.txt"
     path.write_text(format_graph(make_disjoint_matching(20)), encoding="ascii")
     started = time.perf_counter()
     report = cmd_analyze(str(path), 22)
     assert time.perf_counter() - started < 2
-    assert report["results"]["star_formula"]["applicable"] is False
+    star = report["results"]["star_formula"]
+    assert (star["applicable"], star["prefix_search"]) == (False, "budget")
     assert report["exactness"]["chi"] == "certified"
+    for g, r, outcome in ((make_cycle(7), 3, "found"), (make_cycle(5), 4, "none")):
+        path.write_text(format_graph(g), encoding="ascii")
+        assert cmd_analyze(str(path), r)["results"]["star_formula"]["prefix_search"] == outcome
+
+
+def test_cmd_analyze_empty_matching_graph(tmp_path):
+    # K_{1,4} has no 2-matching: KG(G, 2K2) has no vertex, chi = 0
+    path = tmp_path / "k14.txt"
+    path.write_text(format_graph(make_complete_bipartite(1, 4)), encoding="ascii")
+    res = cmd_analyze(str(path), 2)["results"]
+    assert (res["chi"], res["lower_witness"]["kind"], res["alternation_chi_lower"]) == (
+        0, "empty", 0,
+    )
 
 
 def test_cmd_analyze_euler_with_isolated_vertex_and_odd_degrees(tmp_path, capsys):
@@ -402,7 +418,7 @@ def test_cmd_analyze_search_path_pinned(tmp_path):
     assert (res["n"], res["m"], res["matching_graph_vertices"]) == (12, 21, 150)
     assert res["chi_interval"] == [15, 16] and res["search_nodes"] == 2001
     assert report["determinism_sha256"] == (
-        "d65eafb56f0cf25935be3ade13dc01f588478f45fde489c2d99185ced554b383"
+        "b8af91c6a157a35f4c005c6c6dccb3bc626df03f7c7f0182e7cff6a0d9074b5e"
     )
 
 
@@ -427,7 +443,7 @@ def test_cmd_analyze_random_hosts_pinned(tmp_path):
         report = cmd_analyze(str(path), 2, ordering="euler", node_budget=2000)
         hashes.append(report["determinism_sha256"])
     assert hashlib.sha256("".join(hashes).encode()).hexdigest() == (
-        "353c04bddc7bb02e068e2faaad9b30f9c3740b6f8931ebecd16f3aeb8135551b"
+        "7b2264a5636797756c2de7a83088797c38f7819f972835ee564f563246d8df0d"
     )
 
 

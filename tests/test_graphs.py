@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -108,6 +109,13 @@ def test_odd_girth_examples():
     assert odd_girth(make_cycle(5)) == 5
     assert odd_girth(make_complete_bipartite(3, 3)) == math.inf
     assert odd_girth(PETERSEN) == 5
+
+
+def test_odd_girth_edgeless_host_is_linear():
+    # each BFS level checks only its own vertices for an inner edge
+    started = time.perf_counter()
+    assert odd_girth(Graph(20000, ())) == math.inf
+    assert time.perf_counter() - started < 2
 
 
 def test_odd_girth_against_cycle_enumeration():

@@ -7,16 +7,16 @@ from matchgraph import (
     Graph,
     chromatic_number,
     euler_ordering,
-    ex_alt_sigma,
-    ex_salt_sigma,
     make_complete,
     make_complete_bipartite,
     make_cycle,
-    matching_chi_lower_bound,
-    matching_graph,
     star_formula_conditions,
+    turan_matchings,
 )
 
+from matchgraph.alternation import alternation_chi_lower, ex_alt_salt
+from matchgraph.cli import _solve
+from matchgraph.coloring import DSATUR_BUDGET
 from matchgraph.graphs import component_masks
 
 from tests.oracles import euler_by_components, random_connected_graph, random_graph
@@ -28,7 +28,7 @@ def test_star_formula_conditions_c7():
     rep = star_formula_conditions(make_cycle(7), 3)
     assert rep.applicable
     assert rep.odd_girth == 7
-    assert rep.ratio_ok and rep.parity_ok and rep.independent_prefix_ok
+    assert rep.ratio_ok and rep.parity_ok and rep.prefix_search == "found"
     assert rep.sum_top_degrees == 4 and rep.formula_value == 3
     assert rep.odd_top_count == 0
 
@@ -36,7 +36,7 @@ def test_star_formula_conditions_c7():
 def test_star_formula_conditions_k4_fails():
     rep = star_formula_conditions(make_complete(4), 2)
     assert not rep.applicable
-    assert rep.independent_prefix_ok          # a single vertex is independent
+    assert rep.prefix_search == "found"       # a single vertex is independent
     assert rep.odd_girth == 3
     assert not rep.ratio_ok                   # 2 > max(1.5, 1)
     assert not rep.parity_ok                  # 3 odd and not above deg(v_2) = 3
@@ -167,15 +167,15 @@ def test_star_formula_pipeline_bounds_and_chi():
     for g, r in PIPELINE_CASES:
         rep = star_formula_conditions(g, r)
         assert rep.applicable, (g.edges, r)
-        sigma = euler_ordering(g)
+        _, kg, cert, lb, bounds = _solve(g, r, {"euler": euler_ordering(g)}, DSATUR_BUDGET)
         if rep.odd_top_count == 0:
-            assert ex_salt_sigma(g, r, sigma) <= 1 + rep.sum_top_degrees
+            assert bounds["euler"]["ex_salt"] <= 1 + rep.sum_top_degrees
         else:
-            assert ex_alt_sigma(g, r, sigma) <= rep.sum_top_degrees
-        lb = matching_chi_lower_bound(g, r, sigma)
+            assert bounds["euler"]["ex_alt"] <= rep.sum_top_degrees
         assert lb == rep.formula_value
-        cert = chromatic_number(matching_graph(g, r))
         assert cert.exact and cert.chi == rep.formula_value
+        cold = chromatic_number(kg)
+        assert cold.exact and cold.chi == rep.formula_value
 
 
 # max(|E| - ex_alt, |E| + 1 - ex_salt) at r = 2 along the Euler ordering
@@ -191,5 +191,7 @@ DENSE_HOST_BOUNDS = {
 
 @pytest.mark.parametrize("name", DENSE_HOST_BOUNDS)
 def test_euler_ordering_bound_on_dense_hosts(name):
+    # the bound alone: the CLI's solve would go on to a DSATUR search
     g, bound = DENSE_HOST_BOUNDS[name]
-    assert matching_chi_lower_bound(g, 2, euler_ordering(g)) == bound
+    masks = turan_matchings(g, 2).masks
+    assert alternation_chi_lower(g.m, *ex_alt_salt(g, euler_ordering(g), masks)) == bound

@@ -86,9 +86,6 @@ def test_every_private_definition_is_referenced():
 LIBRARY_ENTRY_POINTS = {
     "alt",
     "chi_lower_bounds",
-    "ex_alt_sigma",
-    "ex_salt_sigma",
-    "matching_chi_lower_bound",
     "make_complete",
     "make_disjoint_matching",
     "make_path",

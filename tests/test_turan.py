@@ -1,12 +1,11 @@
 import random
+import time
 
 import pytest
 
 from matchgraph import (
     CapacityError,
-    EdgeOrdering,
     Graph,
-    ex_alt_sigma,
     make_complete,
     make_complete_bipartite,
     make_cycle,
@@ -14,7 +13,8 @@ from matchgraph import (
     turan_matchings,
 )
 
-from matchgraph.turan import NODE_BUDGET, maximal_free_masks
+from matchgraph import turan
+from matchgraph.turan import maximal_free_masks
 from tests.oracles import (
     brute_has_r_matching,
     brute_turan,
@@ -26,7 +26,7 @@ from tests.oracles import (
 
 def test_turan_examples():
     cert = turan_matchings(make_cycle(5), 2)
-    assert cert.ex_value == 2 and cert.exact
+    assert cert.ex_value == 2
     assert turan_matchings(make_complete_bipartite(4, 3), 2).ex_value == 4
     assert turan_matchings(make_disjoint_matching(4), 2).ex_value == 1
 
@@ -67,31 +67,31 @@ def test_turan_witness_matches_brute_force():
     for g in graphs:
         for r in range(1, 6):
             cert = turan_matchings(g, r)
-            assert cert.exact and cert.method == "structure"
+            assert cert.method == "structure"
             value, witness = brute_turan_witness(g, r)
             found = (cert.ex_value, tuple(sorted(cert.extremal_edges)))
             assert found == (value, witness), (g.edges, r)
 
 
-def test_turan_budget_interval():
+def test_turan_budget_raises_while_growing_parts():
+    # five nodes run out while _odd_parts grows the connected sets of K_7
     g = make_complete(7)
-    cert = turan_matchings(g, 3, node_budget=5)
-    assert not cert.exact
-    assert len(cert.extremal_edges) == cert.bounds[0]
-    assert not brute_has_r_matching(g, cert.extremal_edges, 3)
-    assert cert.bounds[0] <= turan_matchings(g, 3).ex_value == 11 <= cert.bounds[1]
-    with pytest.raises(CapacityError):
-        ex_alt_sigma(g, 3, EdgeOrdering.identity(g.m), node_budget=5)
+    assert turan._odd_parts(g, turan._incident_masks(g), 2, 5)[1] > 5
+    with pytest.raises(CapacityError, match="node budget of 5"):
+        turan_matchings(g, 3, node_budget=5)
+    with pytest.raises(CapacityError, match="node budget of 5"):
+        maximal_free_masks(g, 3, node_budget=5)
 
 
 def test_truncated_run_stays_within_its_budget():
-    # ex(20K2, 14K2) = 13, and the vertex sets S of size 13 alone number
-    # C(40, 13); the interval comes from the structures seen within budget
+    # 20K2 has no odd part, and the vertex sets S of size 13 alone number
+    # C(40, 13); the run stops at its budget instead of listing them
     g = make_disjoint_matching(20)
-    cert = turan_matchings(g, 14, node_budget=1000)
-    assert not cert.exact
-    assert not brute_has_r_matching(g, cert.extremal_edges, 14)
-    assert cert.bounds[0] == len(cert.extremal_edges) <= 13 <= cert.bounds[1] == 20
+    assert turan._odd_parts(g, turan._incident_masks(g), 13, 1000)[1] <= 1000
+    started = time.perf_counter()
+    with pytest.raises(CapacityError, match="node budget of 1000"):
+        turan_matchings(g, 14, node_budget=1000)
+    assert time.perf_counter() - started < 1
 
 
 def test_extremal_certificate_is_free():
@@ -106,11 +106,12 @@ def test_extremal_certificate_is_free():
 
 def test_maximality_filter_matches_pairwise_oracle():
     # the per-edge index of kept sets keeps exactly what the pairwise
-    # comparison kept, also on a truncated enumeration
+    # comparison kept; 20K2 at r = 4 keeps 1140 sets
     rng = random.Random(16)
-    hosts = [(random_graph(rng, rng.randint(2, 8), rng.random()), rng.randint(1, 4), NODE_BUDGET)
+    hosts = [(random_graph(rng, rng.randint(2, 8), rng.random()), rng.randint(1, 4))
              for _ in range(60)]
-    hosts += [(make_complete(8), 4, NODE_BUDGET), (make_complete_bipartite(6, 6), 4, NODE_BUDGET),
-              (make_disjoint_matching(20), 14, 200_000)]
-    for g, r, budget in hosts:
-        assert maximal_free_masks(g, r, budget)[0] == maximal_free_masks_pairwise(g, r, budget)
+    hosts += [(make_complete(8), 4), (make_complete_bipartite(6, 6), 4),
+              (make_disjoint_matching(20), 4)]
+    for g, r in hosts:
+        assert maximal_free_masks(g, r) == maximal_free_masks_pairwise(g, r)
+    assert len(maximal_free_masks(make_disjoint_matching(20), 4)) == 1140
