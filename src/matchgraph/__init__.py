@@ -11,13 +11,7 @@ matching, plus a CLI for reproduction tables and a small-graph conjecture
 scanner.
 """
 
-from .alternation import (
-    EdgeOrdering,
-    alt,
-    alt_sigma,
-    chi_lower_bounds,
-    salt_sigma,
-)
+from .alternation import EdgeOrdering
 from .coloring import (
     ChromaticCertificate,
     chromatic_number,
@@ -29,7 +23,6 @@ from .coloring import (
 from .errors import CapacityError, CertificateError, GraphParseError, NotEulerianError
 from .graphs import (
     INFINITE,
-    DegreeOrder,
     Graph,
     degree_order,
     eulerian_tour,

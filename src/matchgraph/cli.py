@@ -24,7 +24,6 @@ from .errors import CapacityError
 from .graphs import (
     Graph,
     format_graph,
-    is_connected,
     make_complete_bipartite,
     make_cycle,
     read_graph,
@@ -148,7 +147,6 @@ def _solve(g: Graph, r: int, orderings: dict[str, EdgeOrdering], node_budget: in
         kg,
         node_budget=node_budget,
         known_lower=lb,
-        known_lower_label="alternation bound",
         initial_coloring=coloring_from_extremal(kg.source, ex_cert.extremal_edges),
     )
     return ex_cert, kg, cert, lb, bounds
@@ -260,7 +258,8 @@ def cmd_analyze(
     results["ex_method"] = ex_cert.method
     exactness["ex"] = "certified"
 
-    connected = is_connected(g)
+    conditions = star_formula_conditions(g, r)
+    connected = conditions.connected
     results["connected"] = connected
     if not connected:
         results["conjecture_applicable"] = False
@@ -272,7 +271,6 @@ def cmd_analyze(
     else:
         results["conjecture_applicable"] = True
 
-    conditions = star_formula_conditions(g, r)
     results["star_formula"] = {
         "applicable": conditions.applicable,
         "formula_value": conditions.formula_value,

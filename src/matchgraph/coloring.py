@@ -3,8 +3,8 @@
 The solver is a DSATUR-style branch and bound: vertices are colored in
 order of saturation degree, a greedy clique seeds the lower bound, and a
 node budget guards against runaway searches.  A caller holding an
-external lower bound (for instance an alternation bound on a matching
-graph) can pass it in together with a start coloring, which lets the
+external lower bound (the alternation bound on a matching graph) can
+pass it in together with a start coloring, which lets the
 search end as soon as the bound is met; without one the search starts
 from one color per vertex, and its first descent is the greedy DSATUR
 coloring.  The clique search stops at cap = min(ub, packing bound): no
@@ -36,8 +36,8 @@ class ChromaticCertificate:
 
     ``lower_witness`` is a (kind, payload) pair with kind one of
     "empty", "clique" (payload: vertex tuple), "exhausted" (search proved
-    no smaller coloring), or "external" (payload: caller's label for a
-    trusted bound).
+    no smaller coloring), or "external" (payload: "alternation bound", the
+    trusted bound the caller passed in).
     """
 
     chi: int | None
@@ -113,7 +113,6 @@ def chromatic_number(
     g: Graph | KneserGraph,
     node_budget: int = DSATUR_BUDGET,
     known_lower: int | None = None,
-    known_lower_label: str = "external",
     initial_coloring: Sequence[int] | None = None,
 ) -> ChromaticCertificate:
     """Exact chromatic number with a proper coloring and a lower-bound witness.
@@ -122,9 +121,10 @@ def chromatic_number(
     exhaustion the certificate carries ``exact=False`` and sound bounds.
     Without ``initial_coloring`` the search starts from one color per
     vertex, so its first descent is the greedy DSATUR coloring.
-    ``known_lower`` must be a sound lower bound; it is trusted, and a proper
-    coloring with fewer colors (supplied or found by the search) contradicts
-    it and raises CertificateError.  The greedy clique runs only when it can
+    ``known_lower`` must be a sound lower bound, the alternation bound on a
+    matching graph; it is trusted, and a proper coloring with fewer colors
+    (supplied or found by the search) contradicts it and raises
+    CertificateError.  The greedy clique runs only when it can
     reach ``known_lower``: its size is at most min(ub, packing bound), and a
     smaller clique neither raises the lower bound nor becomes the witness.
     One rule names the witness of the certified lower end (chi when exact):
@@ -208,7 +208,7 @@ def chromatic_number(
     if known_lower is not None and ub < known_lower:
         raise CertificateError(
             f"a proper coloring with {ub} colors contradicts the lower bound"
-            f" {known_lower} ({known_lower_label})"
+            f" {known_lower} (alternation bound)"
         )
 
     # The search runs out of budget only while ub > lb.
@@ -216,7 +216,7 @@ def chromatic_number(
     if value == len(clique):
         witness = ("clique", clique)
     elif value == known_lower:
-        witness = ("external", known_lower_label)
+        witness = ("external", "alternation bound")
     else:
         witness = ("exhausted", None)
     return ChromaticCertificate(

@@ -68,11 +68,6 @@ class Graph:
     def edge_vertex_masks(self) -> tuple[int, ...]:
         return tuple((1 << u) | (1 << v) for u, v in self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edge_index
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -213,35 +208,24 @@ def odd_girth(g: Graph) -> int | float:
 PREFIX_SEARCH_BUDGET = 100_000
 
 
-@dataclass(frozen=True)
-class DegreeOrder:
-    """Vertex permutation sorted by non-increasing degree in its host graph."""
+def degree_order(g: Graph, k: int) -> tuple[int, ...] | None:
+    """Vertex tuple in non-increasing degree order whose first k vertices
+    are pairwise non-adjacent.
 
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm is not a vertex permutation")
-
-
-def degree_order(g: Graph, require_independent_prefix: int | None = None) -> DegreeOrder | None:
-    """Non-increasing degree order, ties broken by ascending vertex index.
-
-    When ``require_independent_prefix=k`` is given, vertices are permuted
-    only inside the equal-degree class that holds position k, so that the
-    first k vertices are pairwise non-adjacent: the lexicographically first
-    independent choice from that class is moved to its front.  Returns None
-    when no degree-respecting order has such a prefix, and raises
-    CapacityError when the search places more than ``PREFIX_SEARCH_BUDGET``
-    vertices before it settles that.
+    Ties are broken by ascending vertex index, and vertices are permuted
+    only inside the equal-degree class that holds position k: the
+    lexicographically first independent choice from that class is moved to
+    its front.  Returns None when k is outside 0..n or no degree-respecting
+    order has such a prefix, and raises CapacityError when the search
+    places more than ``PREFIX_SEARCH_BUDGET`` vertices before it settles
+    that.
     """
     degrees = g.degrees
     base = sorted(range(g.n), key=lambda v: (-degrees[v], v))
-    k = require_independent_prefix
-    if k is not None and not 0 <= k <= g.n:
+    if not 0 <= k <= g.n:
         return None
-    if k is None or k <= 1:
-        return DegreeOrder(tuple(base))
+    if k <= 1:
+        return tuple(base)
     cut = degrees[base[k - 1]]
     fixed = [v for v in base if degrees[v] > cut]
     tied = [v for v in base if degrees[v] == cut]
@@ -276,7 +260,7 @@ def degree_order(g: Graph, require_independent_prefix: int | None = None) -> Deg
     if chosen is None:
         return None
     rest = [v for v in base if degrees[v] <= cut and v not in chosen]
-    return DegreeOrder(tuple(fixed + chosen + rest))
+    return tuple(fixed + chosen + rest)
 
 
 # ---------------------------------------------------------------------------

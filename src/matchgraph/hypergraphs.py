@@ -55,16 +55,6 @@ class Hypergraph:
     def k(self) -> int:
         return len(self.hyperedges)
 
-    @cached_property
-    def masks_through(self) -> tuple[int, ...]:
-        """For each ground element, the bitmask of the hyperedges containing it."""
-        through = [0] * self.ground_n
-        for i, e in enumerate(self.hyperedges):
-            bit = 1 << i
-            for v in e:
-                through[v] |= bit
-        return tuple(through)
-
 
 @dataclass(frozen=True)
 class KneserGraph:
@@ -99,12 +89,16 @@ class KneserGraph:
 def general_kneser(h: Hypergraph) -> KneserGraph:
     """General Kneser graph of h: vertex i per hyperedge i, edges = disjoint pairs.
 
-    The hyperedges meeting hyperedge i are the union of ``h.masks_through``
-    over its elements, and its neighbours are all the others.  Every
-    hyperedge meets itself, so the masks are loop-free, and meeting is
-    symmetric.
+    The hyperedges meeting hyperedge i are the union, over its elements, of
+    the hyperedges through each element, and its neighbours are all the
+    others.  Every hyperedge meets itself, so the masks are loop-free, and
+    meeting is symmetric.
     """
-    through = h.masks_through
+    through = [0] * h.ground_n  # per ground element, the hyperedges containing it
+    for i, e in enumerate(h.hyperedges):
+        bit = 1 << i
+        for v in e:
+            through[v] |= bit
     everyone = (1 << h.k) - 1
     adj = []
     for e in h.hyperedges:

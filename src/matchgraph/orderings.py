@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .alternation import EdgeOrdering
 from .errors import CapacityError
 from .graphs import (
-    DegreeOrder,
     Graph,
     _bits,
     component_masks,
@@ -42,7 +41,7 @@ class StarFormulaReport:
     r: int
     connected: bool
     odd_girth: float
-    order: DegreeOrder | None
+    order: tuple[int, ...] | None   # degree order with an independent (r-1)-prefix
     prefix_search: str              # "found", "none" (also for r outside 2..n) or "budget"
     top_degree: int | None          # degree of v_{r-1}
     next_degree: int | None         # degree of v_r
@@ -64,7 +63,7 @@ def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
     connected = is_connected(g)
     girth = odd_girth(g)
     try:
-        order = degree_order(g, require_independent_prefix=r - 1) if 2 <= r <= g.n else None
+        order = degree_order(g, r - 1) if 2 <= r <= g.n else None
         prefix_search = "none" if order is None else "found"
     except CapacityError:
         order, prefix_search = None, "budget"
@@ -73,7 +72,7 @@ def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
             r, connected, girth, None, prefix_search, None, None, -math.inf,
             False, False, None, None, None, False,
         )
-    degs = [g.degrees[v] for v in order.perm]
+    degs = [g.degrees[v] for v in order]
     top_degree = degs[r - 2]
     next_degree = degs[r - 1]
     threshold = max(girth / 2, (top_degree + 1) / 4)

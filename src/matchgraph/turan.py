@@ -22,6 +22,7 @@ from .errors import CapacityError, CertificateError
 from .graphs import Graph, _bits
 from .matching import edge_subset_has_r_matching
 
+# Node budget of the structure enumeration on every command; read at call time.
 NODE_BUDGET = 5_000_000
 
 
@@ -109,12 +110,12 @@ def _structures(g: Graph, r: int, inc: list[int], parts: list[tuple[int, int, in
             yield from add_parts(0, used, r - 1 - size, mask)
 
 
-def maximal_free_masks(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> tuple[int, ...]:
+def maximal_free_masks(g: Graph, r: int) -> tuple[int, ...]:
     """The inclusion-maximal rK2-free edge sets of g, as edge-index bitmasks,
     largest first, ties by value.
 
     Each connected part grown and each structure enumerated counts one node
-    against ``node_budget``.  Running out raises CapacityError: alternation
+    against ``NODE_BUDGET``.  Running out raises CapacityError: alternation
     over part of the sets could come out too small, and a too-small ex_alt
     makes |E| - ex_alt unsound.
     """
@@ -123,6 +124,7 @@ def maximal_free_masks(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> tupl
     if not edge_subset_has_r_matching(g, range(g.m), r):
         # The whole edge set is already rK2-free.
         return ((1 << g.m) - 1,)
+    node_budget = NODE_BUDGET
     inc = _incident_masks(g)
     parts, nodes = _odd_parts(g, inc, r - 1, node_budget)
     seen = set()
@@ -151,7 +153,7 @@ def maximal_free_masks(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> tupl
     return tuple(kept)
 
 
-def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCertificate:
+def turan_matchings(g: Graph, r: int) -> TuranCertificate:
     """Exact ex(G, rK2) with an extremal witness and the maximal sets behind it.
 
     ex is the size of the largest structure; every extremal set is a
@@ -159,9 +161,9 @@ def turan_matchings(g: Graph, r: int, node_budget: int = NODE_BUDGET) -> TuranCe
     tuple among all extremal sets.  The certificate's ``masks`` are all of
     :func:`maximal_free_masks`, which ``alternation.ex_alt_salt`` takes for
     ex_alt and ex_salt.  CapacityError when the enumeration exceeds
-    ``node_budget``.
+    ``NODE_BUDGET``.
     """
-    masks = maximal_free_masks(g, r, node_budget)
+    masks = maximal_free_masks(g, r)
     value = masks[0].bit_count()
     witness = min(_bits(mk) for mk in masks if mk.bit_count() == value)
     if edge_subset_has_r_matching(g, witness, r):

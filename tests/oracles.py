@@ -2,17 +2,22 @@
 
 Everything here is deliberately dumb: full enumeration, plain
 backtracking, or networkx, kept structurally separate from the library's
-search code so the two sides of every comparison stay independent.
+search code so the two sides of every comparison stay independent.  The
+one branch and bound is the sign-vector search over hypergraphs, the
+second engine for the alternation invariants that the library computes
+from maximal rK2-free edge sets.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
+from typing import Sequence
 
 import networkx as nx
 
-from matchgraph import Graph, alt
+from matchgraph import CapacityError, EdgeOrdering, Graph, Hypergraph
+from matchgraph.graphs import _bits
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +181,17 @@ def brute_has_r_matching(g: Graph, edge_ids, r: int) -> bool:
     return False
 
 
+def _adjacent(g: Graph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in g.edge_index
+
+
 def degree_order_by_combinations(g: Graph, k: int):
     """Degree order (ties by vertex index) whose first k vertices are pairwise
     non-adjacent: the vertices of degree above that of position k stay in
     front, followed by the first independent choice that
     ``itertools.combinations`` yields from the degree class of position k.
     None when there is no such choice or k is out of range."""
-    deg = [sum(1 for w in range(g.n) if g.has_edge(v, w)) for v in range(g.n)]
+    deg = [sum(1 for w in range(g.n) if _adjacent(g, v, w)) for v in range(g.n)]
     base = sorted(range(g.n), key=lambda v: (-deg[v], v))
     if not 0 <= k <= g.n:
         return None
@@ -193,7 +202,7 @@ def degree_order_by_combinations(g: Graph, k: int):
     tied = [v for v in base if deg[v] == cut]
     lower = tuple(v for v in base if deg[v] < cut)
     for pick in combinations(tied, k - len(fixed)):
-        if not any(g.has_edge(a, b) for a, b in combinations(fixed + pick, 2)):
+        if not any(_adjacent(g, a, b) for a, b in combinations(fixed + pick, 2)):
             return fixed + pick + tuple(v for v in tied if v not in pick) + lower
     return None
 
@@ -203,7 +212,7 @@ def degree_order_by_combinations(g: Graph, k: int):
 # ---------------------------------------------------------------------------
 
 def neighbour_lists(g: Graph) -> list[list[int]]:
-    return [[w for w in range(g.n) if g.has_edge(v, w)] for v in range(g.n)]
+    return [[w for w in range(g.n) if _adjacent(g, v, w)] for v in range(g.n)]
 
 
 def odd_girth_by_cycle_enumeration(g: Graph):
@@ -343,8 +352,109 @@ def chromatic_by_backtracking(g: Graph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Alternation.
+# Alternation on hypergraphs: branch and bound over sign vectors in sigma
+# order, the engine independent of alternation.ex_alt_salt.  For a sign
+# vector X over the ground set read along sigma, alt(X) is the length of a
+# longest alternating subsequence of its nonzero entries.  alt_sigma(H)
+# maximizes alt(X) over vectors whose plus and minus supports both avoid
+# containing a hyperedge; salt_sigma allows one support to contain
+# hyperedges.  On the matching hypergraph of G they equal ex_alt and
+# ex_salt, and chi(KG(H)) >= |ground| - alt_sigma(H) and
+# chi(KG(H)) >= |ground| + 1 - salt_sigma(H) when H has a hyperedge.
 # ---------------------------------------------------------------------------
+
+def alt(x: Sequence[int]) -> int:
+    """Longest alternating subsequence of the nonzero entries; all-zero -> 0."""
+    runs = 0
+    last = 0
+    for v in x:
+        if v not in (-1, 0, 1):
+            raise ValueError("sign vector entries must be -1, 0, or +1")
+        if v != 0 and v != last:
+            runs += 1
+            last = v
+    return runs
+
+
+# The sign search visits up to 3^n sign vectors on a ground set of n elements;
+# 3^18, about 3.9e8, is the most it is allowed.
+SIGN_SEARCH_CAP = 18
+
+
+def _check_ordering(h: Hypergraph, sigma: EdgeOrdering):
+    if len(sigma) != h.ground_n:
+        raise ValueError("ordering length does not match ground set size")
+
+
+def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool) -> int:
+    """Max alt(X) with at most zero (strong=False) or one (strong=True) of the
+    supports containing a hyperedge."""
+    _check_ordering(h, sigma)
+    n = h.ground_n
+    if n > SIGN_SEARCH_CAP:
+        raise CapacityError(f"ground set of size {n} exceeds search cap {SIGN_SEARCH_CAP}")
+    masks = h.masks
+    through = [0] * n  # per ground element, the hyperedges containing it
+    for i, e in enumerate(h.hyperedges):
+        for v in e:
+            through[v] |= 1 << i
+    order = sigma.perm
+    best = 0
+
+    def completes(side_mask_with_bit: int, elem: int) -> bool:
+        return any(not masks[i] & ~side_mask_with_bit for i in _bits(through[elem]))
+
+    def descend(pos: int, plus: int, minus: int, dead_plus: bool,
+                dead_minus: bool, last: int, count: int):
+        nonlocal best
+        if count > best:
+            best = count
+        if pos == n or count + (n - pos) <= best:
+            return
+        elem = order[pos]
+        bit = 1 << elem
+        # Try the alternation-extending sign first so the bound prunes early.
+        for sign in ((-last, last) if last else (1, -1)):
+            if sign > 0:
+                now_dead = dead_plus or completes(plus | bit, elem)
+                if now_dead and (not strong or dead_minus):
+                    continue
+                descend(pos + 1, plus | bit, minus, now_dead, dead_minus,
+                        sign, count + (1 if sign != last else 0))
+            else:
+                now_dead = dead_minus or completes(minus | bit, elem)
+                if now_dead and (not strong or dead_plus):
+                    continue
+                descend(pos + 1, plus, minus | bit, dead_plus, now_dead,
+                        sign, count + (1 if sign != last else 0))
+        descend(pos + 1, plus, minus, dead_plus, dead_minus, last, count)
+
+    descend(0, 0, 0, False, False, 0, 0)
+    return best
+
+
+def alt_sigma(h: Hypergraph, sigma: EdgeOrdering) -> int:
+    """Largest alt(X) with neither support containing any hyperedge."""
+    return _sign_search(h, sigma, strong=False)
+
+
+def salt_sigma(h: Hypergraph, sigma: EdgeOrdering) -> int:
+    """Largest alt(X) with at most one support containing some hyperedge."""
+    return _sign_search(h, sigma, strong=True)
+
+
+def chi_lower_bounds(h: Hypergraph, sigma: EdgeOrdering) -> tuple[int, int]:
+    """(|ground| - alt_sigma, |ground| + 1 - salt_sigma): both are lower
+    bounds on chi(KG(h)).
+
+    A hypergraph without hyperedges has an empty Kneser graph, for which
+    both bounds degenerate; they are clamped to 0 there.
+    """
+    if h.k == 0:
+        return (0, 0)
+    n = h.ground_n
+    return (n - alt_sigma(h, sigma), n + 1 - salt_sigma(h, sigma))
+
 
 def exhaustive_alt_sigma(h, sigma, strong: bool) -> int:
     """Max alt(X) over all 3^n sign vectors under the side-containment rule."""
@@ -404,8 +514,6 @@ def random_connected_graph(rng: random.Random, n: int, extra: float) -> Graph:
 
 
 def random_hypergraph(rng: random.Random, max_n: int, max_edges: int):
-    from matchgraph import Hypergraph
-
     n = rng.randint(1, max_n)
     k = rng.randint(1, max_edges)
     hedges = set()

@@ -9,7 +9,6 @@ import time
 
 from matchgraph import (
     EdgeOrdering,
-    chi_lower_bounds,
     chromatic_number,
     euler_ordering,
     general_kneser,
@@ -17,6 +16,7 @@ from matchgraph import (
     make_cycle,
     make_disjoint_matching,
     matching_graph,
+    matching_hypergraph,
     odd_components,
     star_formula_conditions,
     turan_matchings,
@@ -29,10 +29,13 @@ from matchgraph.smallgraphs import connected_graphs_up_to
 
 from tests.c4 import monogamous_c4_decomposition, verify_c4_decomposition
 from tests.oracles import (
+    alt_sigma,
+    chi_lower_bounds,
     exhaustive_tutte_berge,
     nx_matching_size,
     random_graph,
     random_hypergraph,
+    salt_sigma,
 )
 
 
@@ -164,8 +167,6 @@ def test_criterion_8_correspondence():
     started = time.time()
     rng = random.Random(8921)
     checked = 0
-    from matchgraph import alt_sigma, matching_hypergraph, salt_sigma
-
     while checked < 100:
         g = random_graph(rng, rng.randint(2, 6), rng.random())
         if g.m == 0 or g.m > 10:

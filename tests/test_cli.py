@@ -237,10 +237,7 @@ def test_main_capacity_error_exits_cleanly(tmp_path, capsys, monkeypatch):
     # the pipeline refuses a truncated enumeration before building KG(G, rK2)
     import matchgraph.hypergraphs as hypergraphs
 
-    real = matchgraph.cli.turan_matchings
-    monkeypatch.setattr(
-        matchgraph.cli, "turan_matchings", lambda g, r: real(g, r, node_budget=5)
-    )
+    monkeypatch.setattr(matchgraph.turan, "NODE_BUDGET", 5)
     built = []
     monkeypatch.setattr(hypergraphs, "general_kneser", built.append)
     path = tmp_path / "k7.txt"

@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from matchgraph import (
-    DegreeOrder,
     Graph,
     GraphParseError,
     NotEulerianError,
@@ -205,36 +204,36 @@ def test_eulerian_tour_labels_are_not_indices():
 
 def test_degree_order_plain_and_ties():
     k43 = make_complete_bipartite(4, 3)
-    order = degree_order(k43)
-    assert isinstance(order, DegreeOrder)
-    assert [k43.degrees[v] for v in order.perm] == [4, 4, 4, 3, 3, 3, 3]
-    assert order.perm[:3] == (4, 5, 6)  # ascending index inside the tie class
+    order = degree_order(k43, 0)
+    assert isinstance(order, tuple)
+    assert [k43.degrees[v] for v in order] == [4, 4, 4, 3, 3, 3, 3]
+    assert order[:3] == (4, 5, 6)  # ascending index inside the tie class
 
 
 def test_degree_order_independent_prefix():
     c7 = make_cycle(7)
-    order = degree_order(c7, require_independent_prefix=2)
-    v1, v2 = order.perm[:2]
-    assert not c7.has_edge(v1, v2)
+    order = degree_order(c7, 2)
+    v1, v2 = sorted(order[:2])
+    assert (v1, v2) not in c7.edge_index
 
-    assert degree_order(make_complete(4), require_independent_prefix=2) is None
+    assert degree_order(make_complete(4), 2) is None
 
     k43 = make_complete_bipartite(4, 3)
-    order = degree_order(k43, require_independent_prefix=1)
-    assert k43.degrees[order.perm[0]] == 4
+    order = degree_order(k43, 1)
+    assert k43.degrees[order[0]] == 4
 
 
 def test_degree_order_prefix_search_inside_tie_class():
     # star center has the top degree; prefix of 2 must reject center+leaf pairs
     star = make_complete_bipartite(1, 4)
-    assert degree_order(star, require_independent_prefix=2) is None
+    assert degree_order(star, 2) is None
     # C7 is one tie class; the lex-first independent triple is (0, 2, 4)
     c7 = make_cycle(7)
-    order = degree_order(c7, require_independent_prefix=3)
-    assert order.perm[:3] == (0, 2, 4)
-    assert [c7.degrees[v] for v in order.perm] == sorted(c7.degrees, reverse=True)
+    order = degree_order(c7, 3)
+    assert order[:3] == (0, 2, 4)
+    assert [c7.degrees[v] for v in order] == sorted(c7.degrees, reverse=True)
     # the two degree-2 vertices of P4 are adjacent, so no valid prefix exists
-    assert degree_order(make_path(4), require_independent_prefix=2) is None
+    assert degree_order(make_path(4), 2) is None
 
 
 def test_degree_order_matches_combinations_oracle():
@@ -242,9 +241,7 @@ def test_degree_order_matches_combinations_oracle():
     for _ in range(300):
         g = random_graph(rng, rng.randint(1, 10), rng.random())
         for k in range(6):
-            order = degree_order(g, require_independent_prefix=k)
-            got = None if order is None else order.perm
-            assert got == degree_order_by_combinations(g, k), (g.edges, k)
+            assert degree_order(g, k) == degree_order_by_combinations(g, k), (g.edges, k)
 
 
 def test_component_masks():

@@ -84,8 +84,6 @@ def test_every_private_definition_is_referenced():
 # Library entry points for the paper's quantities and the host generators
 # the tests build on; no command reaches them.
 LIBRARY_ENTRY_POINTS = {
-    "alt",
-    "chi_lower_bounds",
     "make_complete",
     "make_disjoint_matching",
     "make_path",
@@ -102,6 +100,66 @@ def test_every_public_definition_is_reached_or_listed():
         if not name.startswith("_") and name not in referenced
     }
     assert unreached == LIBRARY_ENTRY_POINTS
+
+
+def _defaults_and_callers(tree):
+    """(name a call uses, function name, parameter, position or None) of
+    every parameter with a default in the module, at any depth.  A method's
+    position leaves out its self or cls; an ``__init__`` is called by its
+    class's name."""
+    owner = {
+        id(node): cls.name
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        called_as = cls if cls and node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        if cls:
+            positional = positional[1:]
+        first_default = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first_default:], start=first_default):
+            yield called_as, node.name, arg.arg, i
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield called_as, node.name, arg.arg, None
+
+
+# Defaults that only callers outside src/ override.
+ENTRY_DEFAULTS = {"cli.py:main(argv)"}
+
+
+def test_every_default_is_set_by_some_call():
+    # a default that no call in src/ overrides is a knob only tests turn; with
+    # one value in use it is a constant instead
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                calls.setdefault(name, []).append(node)
+
+    def sets(call, param, position):
+        if any(kw.arg in (param, None) for kw in call.keywords):
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+    unset = {
+        f"{module}:{function}({param})"
+        for module, tree in sorted(trees.items())
+        for called_as, function, param, position in _defaults_and_callers(tree)
+        if not any(sets(call, param, position) for call in calls.get(called_as, ()))
+    }
+    assert unset == ENTRY_DEFAULTS
 
 
 def test_every_oracle_is_used():

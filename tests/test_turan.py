@@ -73,24 +73,26 @@ def test_turan_witness_matches_brute_force():
             assert found == (value, witness), (g.edges, r)
 
 
-def test_turan_budget_raises_while_growing_parts():
+def test_turan_budget_raises_while_growing_parts(monkeypatch):
     # five nodes run out while _odd_parts grows the connected sets of K_7
     g = make_complete(7)
     assert turan._odd_parts(g, turan._incident_masks(g), 2, 5)[1] > 5
+    monkeypatch.setattr(turan, "NODE_BUDGET", 5)
     with pytest.raises(CapacityError, match="node budget of 5"):
-        turan_matchings(g, 3, node_budget=5)
+        turan_matchings(g, 3)
     with pytest.raises(CapacityError, match="node budget of 5"):
-        maximal_free_masks(g, 3, node_budget=5)
+        maximal_free_masks(g, 3)
 
 
-def test_truncated_run_stays_within_its_budget():
+def test_truncated_run_stays_within_its_budget(monkeypatch):
     # 20K2 has no odd part, and the vertex sets S of size 13 alone number
     # C(40, 13); the run stops at its budget instead of listing them
     g = make_disjoint_matching(20)
     assert turan._odd_parts(g, turan._incident_masks(g), 13, 1000)[1] <= 1000
+    monkeypatch.setattr(turan, "NODE_BUDGET", 1000)
     started = time.perf_counter()
     with pytest.raises(CapacityError, match="node budget of 1000"):
-        turan_matchings(g, 14, node_budget=1000)
+        turan_matchings(g, 14)
     assert time.perf_counter() - started < 1
 
 
