@@ -24,7 +24,6 @@ from .errors import CapacityError, CertificateError, GraphParseError, NotEuleria
 from .graphs import (
     INFINITE,
     Graph,
-    degree_order,
     eulerian_tour,
     format_graph,
     is_connected,

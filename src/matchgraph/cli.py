@@ -49,8 +49,6 @@ EXIT_VIOLATION = 3
 def _jsonable(value):
     if isinstance(value, float) and math.isinf(value):
         return "infinite"
-    if isinstance(value, (frozenset, set)):
-        return sorted(value)
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     if isinstance(value, list):
@@ -66,10 +64,9 @@ def _graph_sha(g: Graph) -> str:
 
 def _finish_report(report: dict, started: float) -> dict:
     body = {k: v for k, v in report.items() if k != "timing"}
-    # default= converts sets as they come, so the report is not copied first;
     # hashing chunk by chunk never holds the whole JSON text of a scan.
     digest = hashlib.sha256()
-    for chunk in json.JSONEncoder(sort_keys=True, default=_jsonable).iterencode(body):
+    for chunk in json.JSONEncoder(sort_keys=True).iterencode(body):
         digest.update(chunk.encode("utf-8"))
     report["determinism_sha256"] = digest.hexdigest()
     report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}

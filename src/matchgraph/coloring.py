@@ -59,7 +59,7 @@ def is_proper(g: Graph | KneserGraph, coloring: Sequence[int]) -> bool:
     return not any(masks[v] & classes[c] for v, c in enumerate(coloring))
 
 
-def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, ...]:
+def greedy_clique(g: Graph | KneserGraph, cap: int) -> tuple[int, ...]:
     """Deterministic greedy clique, used as an initial chromatic lower bound.
 
     Vertices are ranked by (-degree, index).  From each start vertex the
@@ -68,7 +68,7 @@ def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, 
     better-ranked than every common neighbour left after it, so one walk
     down the ranking grows a clique.  ``cap``, an upper bound on the clique
     number, ends the search once the best clique reaches it: no later start
-    can beat that clique, so the result is the same as without it.
+    can beat that clique, so the result is the same as with ``cap = n``.
     """
     n = g.n
     if n == 0:
@@ -77,8 +77,6 @@ def greedy_clique(g: Graph | KneserGraph, cap: int | None = None) -> tuple[int, 
     masks = g.adj_masks
     order = sorted(range(n), key=lambda v: (-degrees[v], v))
     best: tuple[int, ...] = (order[0],)
-    if cap is None:
-        cap = n
     for start in order:
         if len(best) >= cap or degrees[start] < len(best):
             break  # no later start has room for a larger clique

@@ -8,10 +8,10 @@ class CapacityError(RuntimeError):
 class NotEulerianError(ValueError):
     """Raised when an Eulerian tour is requested on a non-Eulerian (multi)graph.
 
-    Carries the offending vertex in ``vertex`` when one can be named.
+    Carries the offending vertex in ``vertex``.
     """
 
-    def __init__(self, message, vertex=None):
+    def __init__(self, message, vertex):
         super().__init__(message)
         self.vertex = vertex
 

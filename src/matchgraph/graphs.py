@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import CapacityError, GraphParseError, NotEulerianError
+from .errors import GraphParseError, NotEulerianError
 
 INFINITE = math.inf
 
@@ -155,7 +155,7 @@ def component_masks(g: Graph, removed: Iterable[int] = ()) -> list[int]:
     return out
 
 
-def odd_components(g: Graph, removed: Iterable[int] = ()) -> int:
+def odd_components(g: Graph, removed: Iterable[int]) -> int:
     """Number of connected components of g - removed with an odd vertex count."""
     return sum(1 for c in component_masks(g, removed) if c.bit_count() % 2 == 1)
 
@@ -197,70 +197,6 @@ def odd_girth(g: Graph) -> int | float:
                 best = 2 * depth + 1
                 break
     return best
-
-
-# ---------------------------------------------------------------------------
-# Degree orders.
-# ---------------------------------------------------------------------------
-
-# Vertices the independent-prefix search of degree_order may place before it
-# gives up; the search is exponential when no prefix exists (20K2 at k = 21).
-PREFIX_SEARCH_BUDGET = 100_000
-
-
-def degree_order(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Vertex tuple in non-increasing degree order whose first k vertices
-    are pairwise non-adjacent.
-
-    Ties are broken by ascending vertex index, and vertices are permuted
-    only inside the equal-degree class that holds position k: the
-    lexicographically first independent choice from that class is moved to
-    its front.  Returns None when k is outside 0..n or no degree-respecting
-    order has such a prefix, and raises CapacityError when the search
-    places more than ``PREFIX_SEARCH_BUDGET`` vertices before it settles
-    that.
-    """
-    degrees = g.degrees
-    base = sorted(range(g.n), key=lambda v: (-degrees[v], v))
-    if not 0 <= k <= g.n:
-        return None
-    if k <= 1:
-        return tuple(base)
-    cut = degrees[base[k - 1]]
-    fixed = [v for v in base if degrees[v] > cut]
-    tied = [v for v in base if degrees[v] == cut]
-    adj = g.adj_masks
-    blocked = 0  # neighbours of the vertices placed so far
-    for v in fixed:
-        if blocked >> v & 1:
-            return None
-        blocked |= adj[v]
-
-    placed = 0
-
-    def pick(start: int, need: int, blocked: int) -> list[int] | None:
-        """First `need` pairwise non-adjacent vertices of tied[start:] outside `blocked`."""
-        nonlocal placed
-        if need == 0:
-            return []
-        for i in range(start, len(tied) - need + 1):
-            v = tied[i]
-            if not blocked >> v & 1:
-                placed += 1
-                if placed > PREFIX_SEARCH_BUDGET:
-                    raise CapacityError(
-                        f"independent-prefix search exceeded {PREFIX_SEARCH_BUDGET} vertices"
-                    )
-                rest = pick(i + 1, need - 1, blocked | adj[v])
-                if rest is not None:
-                    return [v] + rest
-        return None
-
-    chosen = pick(0, k - len(fixed), blocked)
-    if chosen is None:
-        return None
-    rest = [v for v in base if degrees[v] <= cut and v not in chosen]
-    return tuple(fixed + chosen + rest)
 
 
 # ---------------------------------------------------------------------------

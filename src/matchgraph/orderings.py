@@ -8,12 +8,13 @@ non-start vertex, which is what makes the top-degree chromatic formula work
 on sparse graphs.  It hands ``graphs.eulerian_tour`` plain maps from edge id
 to end pair: host edges keep their ids, auxiliary edges are numbered after
 them, and auxiliary vertices are labelled above every host vertex.
-``star_formula_conditions`` checks the formula's hypotheses one by one.
+``star_formula_conditions`` checks the formula's hypotheses one by one;
+``has_independent_prefix`` is the search behind the one that is not a
+function of the degree sequence.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .alternation import EdgeOrdering
@@ -22,7 +23,6 @@ from .graphs import (
     Graph,
     _bits,
     component_masks,
-    degree_order,
     eulerian_tour,
     is_connected,
     odd_girth,
@@ -34,6 +34,57 @@ from .graphs import (
 # chi(KG(G, rK2)) = |E| - sum of the r-1 largest degrees.
 # ---------------------------------------------------------------------------
 
+# Vertices the independent-prefix search may place before it gives up; the
+# search is exponential when no prefix exists (20K2 at k = 21).
+PREFIX_SEARCH_BUDGET = 100_000
+
+
+def has_independent_prefix(g: Graph, k: int) -> bool:
+    """Do some k pairwise non-adjacent vertices head a non-increasing
+    degree order?
+
+    Every vertex of degree above the k-th largest must be among them; the
+    rest are searched for among the vertices of exactly that degree, in
+    ascending index order.  Raises ValueError for k outside 1..n, and
+    CapacityError when the search places more than ``PREFIX_SEARCH_BUDGET``
+    vertices before it settles the question.
+    """
+    if not 1 <= k <= g.n:
+        raise ValueError(f"prefix length {k} is outside 1..{g.n}")
+    degrees = g.degrees
+    adj = g.adj_masks
+    cut = sorted(degrees, reverse=True)[k - 1]
+    blocked = 0  # neighbours of the vertices placed so far
+    fixed = 0
+    for v in range(g.n):
+        if degrees[v] > cut:
+            if blocked >> v & 1:
+                return False
+            blocked |= adj[v]
+            fixed += 1
+    tied = [v for v in range(g.n) if degrees[v] == cut]
+    placed = 0
+
+    def pick(start: int, need: int, blocked: int) -> bool:
+        """Are there `need` pairwise non-adjacent vertices of tied[start:] outside `blocked`?"""
+        nonlocal placed
+        if need == 0:
+            return True
+        for i in range(start, len(tied) - need + 1):
+            v = tied[i]
+            if not blocked >> v & 1:
+                placed += 1
+                if placed > PREFIX_SEARCH_BUDGET:
+                    raise CapacityError(
+                        f"independent-prefix search exceeded {PREFIX_SEARCH_BUDGET} vertices"
+                    )
+                if pick(i + 1, need - 1, blocked | adj[v]):
+                    return True
+        return False
+
+    return pick(0, k - fixed, blocked)
+
+
 @dataclass(frozen=True)
 class StarFormulaReport:
     """Condition-by-condition applicability of the top-degree formula."""
@@ -41,50 +92,48 @@ class StarFormulaReport:
     r: int
     connected: bool
     odd_girth: float
-    order: tuple[int, ...] | None   # degree order with an independent (r-1)-prefix
     prefix_search: str              # "found", "none" (also for r outside 2..n) or "budget"
-    top_degree: int | None          # degree of v_{r-1}
-    next_degree: int | None         # degree of v_r
-    degree_threshold: float         # max(odd_girth/2, (top_degree+1)/4)
-    ratio_ok: bool
+    top_degree: int | None          # (r-1)-th largest degree; None for r outside 2..n
+    next_degree: int | None         # r-th largest degree
+    ratio_ok: bool                  # r <= max(odd_girth/2, (top_degree+1)/4)
     parity_ok: bool                 # top degree even, or strictly above next
-    odd_top_count: int | None       # odd degrees among the first r-1
+    odd_top_count: int | None       # odd degrees among the r-1 largest
     sum_top_degrees: int | None
-    formula_value: int | None       # |E| - sum_top_degrees
+    formula_value: int | None       # |E| - sum_top_degrees, when a prefix was found
     applicable: bool
 
 
 def star_formula_conditions(g: Graph, r: int) -> StarFormulaReport:
     """Evaluate every hypothesis of the top-degree formula; never raises.
 
-    ``prefix_search`` tells a refuted independent-prefix hypothesis
-    ("none") from a search that ran out of budget ("budget").
+    Only the independent prefix needs a search, and it gates only
+    ``formula_value`` and ``applicable``; the other hypotheses read the
+    degree sequence.  ``prefix_search`` tells a refuted independent-prefix
+    hypothesis ("none") from a search that ran out of budget ("budget").
     """
     connected = is_connected(g)
     girth = odd_girth(g)
-    try:
-        order = degree_order(g, r - 1) if 2 <= r <= g.n else None
-        prefix_search = "none" if order is None else "found"
-    except CapacityError:
-        order, prefix_search = None, "budget"
-    if order is None:
+    if not 2 <= r <= g.n:
         return StarFormulaReport(
-            r, connected, girth, None, prefix_search, None, None, -math.inf,
-            False, False, None, None, None, False,
+            r, connected, girth, "none", None, None, False, False, None, None, None, False,
         )
-    degs = [g.degrees[v] for v in order]
+    try:
+        prefix_search = "found" if has_independent_prefix(g, r - 1) else "none"
+    except CapacityError:
+        prefix_search = "budget"
+    degs = sorted(g.degrees, reverse=True)
     top_degree = degs[r - 2]
     next_degree = degs[r - 1]
-    threshold = max(girth / 2, (top_degree + 1) / 4)
-    ratio_ok = r <= threshold
+    ratio_ok = r <= max(girth / 2, (top_degree + 1) / 4)
     parity_ok = top_degree % 2 == 0 or top_degree > next_degree
     odd_top = sum(1 for d in degs[: r - 1] if d % 2 == 1)
     sum_top = sum(degs[: r - 1])
-    applicable = connected and ratio_ok and parity_ok
+    found = prefix_search == "found"
     return StarFormulaReport(
-        r, connected, girth, order, prefix_search, top_degree, next_degree,
-        threshold, ratio_ok, parity_ok, odd_top, sum_top,
-        g.m - sum_top, applicable,
+        r, connected, girth, prefix_search, top_degree, next_degree,
+        ratio_ok, parity_ok, odd_top, sum_top,
+        g.m - sum_top if found else None,
+        found and connected and ratio_ok and parity_ok,
     )
 
 
@@ -94,12 +143,12 @@ def euler_ordering(g: Graph) -> EdgeOrdering:
     The components are toured in order of their lowest vertex.  A component
     with odd-degree vertices gets an auxiliary vertex of its own, joined to
     each of them, and its tour starts there; otherwise the tour starts at
-    the component's last vertex in the degree order.  Auxiliary vertices
-    are labelled ``g.n, g.n + 1, ...`` and their edges get ids ``g.m,
-    g.m + 1, ...``, so each component is toured as it would be on its own.
-    Each tour reads only its component's edges, so the whole ordering costs
-    time linear in the host.  The tours are projected onto the graph's own
-    edges in traversal order.
+    the component's last vertex in order of non-increasing degree, ties by
+    ascending index.  Auxiliary vertices are labelled ``g.n, g.n + 1, ...``
+    and their edges get ids ``g.m, g.m + 1, ...``, so each component is
+    toured as it would be on its own.  Each tour reads only its component's
+    edges, so the whole ordering costs time linear in the host.  The tours
+    are projected onto the graph's own edges in traversal order.
     """
     comps = component_masks(g)
     label = [0] * g.n

@@ -185,26 +185,19 @@ def _adjacent(g: Graph, u: int, v: int) -> bool:
     return (min(u, v), max(u, v)) in g.edge_index
 
 
-def degree_order_by_combinations(g: Graph, k: int):
-    """Degree order (ties by vertex index) whose first k vertices are pairwise
-    non-adjacent: the vertices of degree above that of position k stay in
-    front, followed by the first independent choice that
-    ``itertools.combinations`` yields from the degree class of position k.
-    None when there is no such choice or k is out of range."""
+def independent_prefix_by_combinations(g: Graph, k: int) -> bool:
+    """Do some k pairwise non-adjacent vertices head a non-increasing degree
+    order?  Such a set holds every vertex of degree above the k-th largest,
+    completed by some choice that ``itertools.combinations`` yields from
+    the vertices of exactly that degree; 1 <= k <= n."""
     deg = [sum(1 for w in range(g.n) if _adjacent(g, v, w)) for v in range(g.n)]
-    base = sorted(range(g.n), key=lambda v: (-deg[v], v))
-    if not 0 <= k <= g.n:
-        return None
-    if k <= 1:
-        return tuple(base)
-    cut = deg[base[k - 1]]
-    fixed = tuple(v for v in base if deg[v] > cut)
-    tied = [v for v in base if deg[v] == cut]
-    lower = tuple(v for v in base if deg[v] < cut)
-    for pick in combinations(tied, k - len(fixed)):
-        if not any(_adjacent(g, a, b) for a, b in combinations(fixed + pick, 2)):
-            return fixed + pick + tuple(v for v in tied if v not in pick) + lower
-    return None
+    cut = sorted(deg, reverse=True)[k - 1]
+    fixed = tuple(v for v in range(g.n) if deg[v] > cut)
+    tied = [v for v in range(g.n) if deg[v] == cut]
+    return any(
+        not any(_adjacent(g, a, b) for a, b in combinations(fixed + pick, 2))
+        for pick in combinations(tied, k - len(fixed))
+    )
 
 
 # ---------------------------------------------------------------------------

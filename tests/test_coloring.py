@@ -126,7 +126,7 @@ def test_greedy_clique_is_clique():
     rng = random.Random(7)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
-        clique = greedy_clique(g)
+        clique = greedy_clique(g, g.n)
         assert all(
             (u, v) in g.edge_index for i, u in enumerate(clique) for v in clique[i + 1:]
         )
@@ -142,9 +142,9 @@ def test_greedy_clique_matches_scan_oracle():
         for r in (1, 2, 3):
             kg = matching_graph(host, r)
             graphs.append(kg.graph)
-            assert greedy_clique(kg) == greedy_clique_by_scan(kg.graph)
+            assert greedy_clique(kg, kg.n) == greedy_clique_by_scan(kg.graph)
     for g in graphs:
-        assert greedy_clique(g) == greedy_clique_by_scan(g)
+        assert greedy_clique(g, g.n) == greedy_clique_by_scan(g)
 
 
 def test_capped_greedy_clique_matches_scan_oracle():

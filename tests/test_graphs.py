@@ -9,7 +9,6 @@ from matchgraph import (
     Graph,
     GraphParseError,
     NotEulerianError,
-    degree_order,
     eulerian_tour,
     format_graph,
     make_complete,
@@ -24,7 +23,6 @@ from matchgraph import (
 from matchgraph.graphs import component_masks, is_connected
 
 from tests.oracles import (
-    degree_order_by_combinations,
     odd_girth_by_cycle_enumeration,
     random_graph,
     to_networkx,
@@ -93,7 +91,7 @@ def test_graph_rejects_non_int_labels():
 
 def test_odd_components_examples():
     assert odd_components(make_path(3), [1]) == 2
-    assert odd_components(make_cycle(6)) == 0
+    assert odd_components(make_cycle(6), ()) == 0
     assert odd_components(make_complete_bipartite(1, 3), [0]) == 3
 
 
@@ -101,7 +99,7 @@ def test_odd_components_parity_matches_vertex_count():
     rng = random.Random(11)
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 9), rng.random())
-        assert odd_components(g) % 2 == g.n % 2
+        assert odd_components(g, ()) % 2 == g.n % 2
 
 
 def test_odd_girth_examples():
@@ -200,48 +198,6 @@ def test_eulerian_tour_doubled_path():
 
 def test_eulerian_tour_labels_are_not_indices():
     assert eulerian_tour({0: (0, 10**9), 1: (0, 10**9)}, 0) == [0, 1]
-
-
-def test_degree_order_plain_and_ties():
-    k43 = make_complete_bipartite(4, 3)
-    order = degree_order(k43, 0)
-    assert isinstance(order, tuple)
-    assert [k43.degrees[v] for v in order] == [4, 4, 4, 3, 3, 3, 3]
-    assert order[:3] == (4, 5, 6)  # ascending index inside the tie class
-
-
-def test_degree_order_independent_prefix():
-    c7 = make_cycle(7)
-    order = degree_order(c7, 2)
-    v1, v2 = sorted(order[:2])
-    assert (v1, v2) not in c7.edge_index
-
-    assert degree_order(make_complete(4), 2) is None
-
-    k43 = make_complete_bipartite(4, 3)
-    order = degree_order(k43, 1)
-    assert k43.degrees[order[0]] == 4
-
-
-def test_degree_order_prefix_search_inside_tie_class():
-    # star center has the top degree; prefix of 2 must reject center+leaf pairs
-    star = make_complete_bipartite(1, 4)
-    assert degree_order(star, 2) is None
-    # C7 is one tie class; the lex-first independent triple is (0, 2, 4)
-    c7 = make_cycle(7)
-    order = degree_order(c7, 3)
-    assert order[:3] == (0, 2, 4)
-    assert [c7.degrees[v] for v in order] == sorted(c7.degrees, reverse=True)
-    # the two degree-2 vertices of P4 are adjacent, so no valid prefix exists
-    assert degree_order(make_path(4), 2) is None
-
-
-def test_degree_order_matches_combinations_oracle():
-    rng = random.Random(17)
-    for _ in range(300):
-        g = random_graph(rng, rng.randint(1, 10), rng.random())
-        for k in range(6):
-            assert degree_order(g, k) == degree_order_by_combinations(g, k), (g.edges, k)
 
 
 def test_component_masks():

@@ -10,6 +10,7 @@ from matchgraph import (
     make_complete,
     make_complete_bipartite,
     make_cycle,
+    make_path,
     star_formula_conditions,
     turan_matchings,
 )
@@ -18,8 +19,14 @@ from matchgraph.alternation import alternation_chi_lower, ex_alt_salt
 from matchgraph.cli import _solve
 from matchgraph.coloring import DSATUR_BUDGET
 from matchgraph.graphs import component_masks
+from matchgraph.orderings import has_independent_prefix
 
-from tests.oracles import euler_by_components, random_connected_graph, random_graph
+from tests.oracles import (
+    euler_by_components,
+    independent_prefix_by_combinations,
+    random_connected_graph,
+    random_graph,
+)
 
 SPIDER = Graph(7, ((0, 1), (0, 3), (0, 5), (1, 2), (3, 4), (5, 6)))  # three legs of length 2
 
@@ -56,6 +63,17 @@ def test_star_formula_conditions_spider_odd_top():
     assert rep.top_degree == 3 and rep.next_degree == 2
     assert rep.odd_top_count == 1
     assert rep.formula_value == 3
+
+
+def test_star_formula_conditions_spider_without_prefix():
+    # the one r = 3 scan finding (up to isomorphism) that fails only the
+    # prefix hypothesis: the degree-2 vertices all neighbour the centre
+    rep = star_formula_conditions(SPIDER, 3)
+    assert rep.prefix_search == "none"
+    assert rep.ratio_ok and rep.parity_ok
+    assert rep.top_degree == rep.next_degree == 2
+    assert rep.sum_top_degrees == 5
+    assert rep.formula_value is None and not rep.applicable
 
 
 def test_star_formula_out_of_range_r():
@@ -124,9 +142,7 @@ def test_euler_ordering_half_degree_property():
         odd = [v for v in range(g.n) if g.degrees[v] % 2 == 1]
         exempt = set()
         if not odd:
-            from matchgraph import degree_order
-
-            exempt = {degree_order(g, 0)[-1]}
+            exempt = {max(range(g.n), key=lambda v: (-g.degrees[v], v))}
         counts = _color_counts_at_vertices(g, sigma)
         for v in range(g.n):
             if v in exempt:
@@ -151,6 +167,41 @@ def test_euler_ordering_half_degree_on_random_subsets():
         for v in range(g.n):
             limit = -(-g.degrees[v] // 2)
             assert max(per_vertex[v]) <= limit
+
+
+def test_independent_prefix_top_degree_class():
+    # the three degree-4 vertices of K_{4,3} form one side
+    k43 = make_complete_bipartite(4, 3)
+    assert has_independent_prefix(k43, 1)
+    assert has_independent_prefix(k43, 3)
+    assert not has_independent_prefix(k43, 4)
+
+
+def test_independent_prefix_examples():
+    assert has_independent_prefix(make_cycle(7), 2)
+    assert not has_independent_prefix(make_complete(4), 2)
+
+
+def test_independent_prefix_search_inside_tie_class():
+    # star center has the top degree; prefix of 2 must reject center+leaf pairs
+    assert not has_independent_prefix(make_complete_bipartite(1, 4), 2)
+    # C7 is one tie class holding the independent triple (0, 2, 4)
+    assert has_independent_prefix(make_cycle(7), 3)
+    # the two degree-2 vertices of P4 are adjacent, so no valid prefix exists
+    assert not has_independent_prefix(make_path(4), 2)
+
+
+def test_independent_prefix_matches_combinations_oracle():
+    rng = random.Random(17)
+    for _ in range(300):
+        g = random_graph(rng, rng.randint(1, 10), rng.random())
+        for k in range(1, min(5, g.n) + 1):
+            assert has_independent_prefix(g, k) == independent_prefix_by_combinations(g, k), (
+                g.edges, k,
+            )
+        for k in (0, g.n + 1):
+            with pytest.raises(ValueError):
+                has_independent_prefix(g, k)
 
 
 PIPELINE_CASES = [

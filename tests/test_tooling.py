@@ -130,14 +130,12 @@ def _defaults_and_callers(tree):
                 yield called_as, node.name, arg.arg, None
 
 
-# Defaults that only callers outside src/ override.
-ENTRY_DEFAULTS = {"cli.py:main(argv)"}
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
 
 
-def test_every_default_is_set_by_some_call():
-    # a default that no call in src/ overrides is a knob only tests turn; with
-    # one value in use it is a constant instead
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+def _calls_by_name(trees):
+    """Every call in the given modules, keyed by the called name."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -145,21 +143,51 @@ def test_every_default_is_set_by_some_call():
                 func = node.func
                 name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 calls.setdefault(name, []).append(node)
+    return calls
 
-    def sets(call, param, position):
-        if any(kw.arg in (param, None) for kw in call.keywords):
-            return True
-        if position is None:
-            return False
-        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
 
+def _sets(call, param, position):
+    """Does the call pass the parameter, by keyword or by position?"""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+# Defaults that only callers outside src/ override.
+ENTRY_DEFAULTS = {"cli.py:main(argv)"}
+
+
+def test_every_default_is_set_by_some_call():
+    # a default that no call in src/ overrides is a knob only tests turn; with
+    # one value in use it is a constant instead
+    trees = _package_trees()
+    calls = _calls_by_name(trees)
     unset = {
         f"{module}:{function}({param})"
         for module, tree in sorted(trees.items())
         for called_as, function, param, position in _defaults_and_callers(tree)
-        if not any(sets(call, param, position) for call in calls.get(called_as, ()))
+        if not any(_sets(call, param, position) for call in calls.get(called_as, ()))
     }
     assert unset == ENTRY_DEFAULTS
+
+
+def test_no_default_is_set_by_every_call():
+    # a default that every call in src/ overrides is never used there; the
+    # parameter is required instead.  The cmd_* entry points keep theirs,
+    # since the benchmark harness calls them with their defaults.
+    trees = _package_trees()
+    calls = _calls_by_name(trees)
+    always_set = {
+        f"{module}:{called_as}({param})"
+        for module, tree in sorted(trees.items())
+        for called_as, function, param, position in _defaults_and_callers(tree)
+        if not function.startswith("cmd_")
+        and calls.get(called_as)
+        and all(_sets(call, param, position) for call in calls[called_as])
+    }
+    assert always_set == set()
 
 
 def test_every_oracle_is_used():
@@ -176,7 +204,8 @@ def test_every_oracle_is_used():
 
 
 def test_every_class_member_is_read():
-    # a public method or property that no code reads is a second API nobody uses
+    # a public method or property, or a field, that no code reads is a
+    # second API nobody uses
     repo = Path(__file__).parent.parent
     read = set()
     for path in [*SRC.glob("*.py"), *repo.glob("tests/*.py"), *repo.glob("perfbench/*.py")]:
@@ -185,15 +214,21 @@ def test_every_class_member_is_read():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute)
         )
+
+    def member(node):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            return node.name
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            return node.target.id
+        return None
+
     unread = [
-        f"{path.name}:{cls.name}.{node.name}"
+        f"{path.name}:{cls.name}.{name}"
         for path in sorted(SRC.glob("*.py"))
         for cls in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and node.name not in read
+        if (name := member(node)) is not None and name not in read
     ]
     assert unread == []
 
