@@ -11,7 +11,9 @@ coloring.  The clique search stops at cap = min(ub, packing bound): no
 clique has more vertices than the start coloring has colors or, on a
 general Kneser graph, than the ground set size over the smallest
 hyperedge size.  When an external lower bound exceeds cap, no clique can
-bind, so none is sought.  One rule names the lower witness, exact or not.
+bind, so none is sought.  When the bounds meet, no search runs, and a
+general Kneser graph's adjacency is never built.  One rule names the lower
+witness, exact or not.
 When the budget runs out the result is an explicit [lb, ub] interval,
 never a wrong exact claim.
 """
@@ -20,6 +22,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import and_
 from typing import Sequence
 
 from .errors import CertificateError
@@ -49,9 +54,23 @@ class ChromaticCertificate:
 
 
 def is_proper(g: Graph | KneserGraph, coloring: Sequence[int]) -> bool:
-    """True iff the coloring is total on vertices and no edge is monochromatic."""
+    """True iff the coloring is total on vertices and no edge is monochromatic.
+
+    On a general Kneser graph a color class is independent exactly when its
+    hyperedges pairwise meet, and that is decided from the hyperedge masks,
+    so the adjacency is not built.  A class whose hyperedges share a ground
+    element passes at once; any other class is checked pair by pair.
+    """
     if len(coloring) != g.n or any(c is None or c < 0 for c in coloring):
         raise ValueError("coloring must assign a color to every vertex")
+    if isinstance(g, KneserGraph):
+        members: dict[int, list[int]] = {}
+        for mask, c in zip(g.source.masks, coloring):
+            members.setdefault(c, []).append(mask)
+        return all(
+            reduce(and_, masks) or all(a & b for a, b in combinations(masks, 2))
+            for masks in members.values()
+        )
     classes: dict[int, int] = {}
     for v, c in enumerate(coloring):
         classes[c] = classes.get(c, 0) | 1 << v
@@ -125,6 +144,10 @@ def chromatic_number(
     CertificateError.  The greedy clique runs only when it can
     reach ``known_lower``: its size is at most min(ub, packing bound), and a
     smaller clique neither raises the lower bound nor becomes the witness.
+    DSATUR runs only while the start coloring has more colors than the
+    lower bound.  The adjacency (``adj_masks``, ``degrees``) is read only by
+    the clique and DSATUR, so on a general Kneser graph whose bounds meet
+    without a clique it is never built, and no process-wide state changes.
     One rule names the witness of the certified lower end (chi when exact):
     "clique" if it equals the clique size, "external" if it equals
     ``known_lower``, else "exhausted".
@@ -140,7 +163,6 @@ def chromatic_number(
     else:
         start = tuple(range(n))
     ub = len(set(start))
-    best_coloring = start
 
     # A clique of a general Kneser graph is a set of pairwise-disjoint hyperedges.
     cap = ub
@@ -152,57 +174,59 @@ def chromatic_number(
     if known_lower is not None:
         lb = max(lb, known_lower)
 
-    # DSATUR branch and bound.
-    masks = g.adj_masks
-    degrees = g.degrees
-    colors = [-1] * n
-    forbidden = [0] * n
+    best_coloring = start
     nodes = 0
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
+    exhausted = True
+    if ub > lb:
+        # DSATUR branch and bound: with the clique, the only reader of the adjacency.
+        masks = g.adj_masks
+        degrees = g.degrees
+        colors = [-1] * n
+        forbidden = [0] * n
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
 
-    def descend(colored: int, used: int):
-        nonlocal nodes, ub, best_coloring
-        if ub <= lb:
-            return
-        nodes += 1
-        if nodes > node_budget:
-            raise _Budget
-        if colored == n:
-            if used < ub:
-                ub = used
-                best_coloring = tuple(colors)
-            return
-        v = max(
-            (u for u in range(n) if colors[u] == -1),
-            key=lambda u: (forbidden[u].bit_count(), degrees[u], -u),
-        )
-        limit = min(used + 1, ub - 1)
-        for c in range(limit):
-            if forbidden[v] >> c & 1:
-                continue
-            colors[v] = c
-            touched = []
-            bit_c = 1 << c
-            nb = masks[v]
-            while nb:
-                bit = nb & -nb
-                nb ^= bit
-                w = bit.bit_length() - 1
-                if colors[w] == -1 and not forbidden[w] & bit_c:
-                    forbidden[w] |= bit_c
-                    touched.append(w)
-            descend(colored + 1, max(used, c + 1))
-            colors[v] = -1
-            for w in touched:
-                forbidden[w] &= ~bit_c
+        def descend(colored: int, used: int):
+            nonlocal nodes, ub, best_coloring
             if ub <= lb:
                 return
+            nodes += 1
+            if nodes > node_budget:
+                raise _Budget
+            if colored == n:
+                if used < ub:
+                    ub = used
+                    best_coloring = tuple(colors)
+                return
+            v = max(
+                (u for u in range(n) if colors[u] == -1),
+                key=lambda u: (forbidden[u].bit_count(), degrees[u], -u),
+            )
+            limit = min(used + 1, ub - 1)
+            for c in range(limit):
+                if forbidden[v] >> c & 1:
+                    continue
+                colors[v] = c
+                touched = []
+                bit_c = 1 << c
+                nb = masks[v]
+                while nb:
+                    bit = nb & -nb
+                    nb ^= bit
+                    w = bit.bit_length() - 1
+                    if colors[w] == -1 and not forbidden[w] & bit_c:
+                        forbidden[w] |= bit_c
+                        touched.append(w)
+                descend(colored + 1, max(used, c + 1))
+                colors[v] = -1
+                for w in touched:
+                    forbidden[w] &= ~bit_c
+                if ub <= lb:
+                    return
 
-    exhausted = True
-    try:
-        descend(0, 0)
-    except _Budget:
-        exhausted = False
+        try:
+            descend(0, 0)
+        except _Budget:
+            exhausted = False
     if known_lower is not None and ub < known_lower:
         raise CertificateError(
             f"a proper coloring with {ub} colors contradicts the lower bound"

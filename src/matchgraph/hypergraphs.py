@@ -61,18 +61,41 @@ class KneserGraph:
     """General Kneser graph of ``source``: vertex i per hyperedge i, two
     vertices adjacent exactly when their hyperedges are disjoint.
 
-    Adjacency is held as neighbour bitmasks, the form the colouring solver
-    reads, under the names ``Graph`` uses (``n``, ``adj_masks``,
-    ``degrees``).  ``graph``, the edge list as a :class:`Graph`, is built on
-    first use only.
+    Only ``source`` is held.  The adjacency is built on first use, as
+    neighbour bitmasks under the names ``Graph`` uses (``adj_masks``,
+    ``degrees``), the form the clique and DSATUR searches read; it takes
+    n^2/8 bytes.  A coloring is checked from the hyperedge masks instead
+    (``coloring.is_proper``), so a certificate whose bounds meet never
+    builds it.  ``graph``, the edge list as a :class:`Graph`, is likewise
+    built on first use only.
     """
 
     source: Hypergraph
-    adj_masks: tuple[int, ...]
 
     @property
     def n(self) -> int:
-        return len(self.adj_masks)
+        return self.source.k
+
+    @cached_property
+    def adj_masks(self) -> tuple[int, ...]:
+        """The hyperedges meeting hyperedge i are the union, over its
+        elements, of the hyperedges through each element, and its neighbours
+        are all the others.  Every hyperedge meets itself, so the masks are
+        loop-free, and meeting is symmetric."""
+        h = self.source
+        through = [0] * h.ground_n  # per ground element, the hyperedges containing it
+        for i, e in enumerate(h.hyperedges):
+            bit = 1 << i
+            for v in e:
+                through[v] |= bit
+        everyone = (1 << h.k) - 1
+        adj = []
+        for e in h.hyperedges:
+            meets = 0
+            for v in e:
+                meets |= through[v]
+            adj.append(everyone ^ meets)
+        return tuple(adj)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -89,24 +112,10 @@ class KneserGraph:
 def general_kneser(h: Hypergraph) -> KneserGraph:
     """General Kneser graph of h: vertex i per hyperedge i, edges = disjoint pairs.
 
-    The hyperedges meeting hyperedge i are the union, over its elements, of
-    the hyperedges through each element, and its neighbours are all the
-    others.  Every hyperedge meets itself, so the masks are loop-free, and
-    meeting is symmetric.
+    Building it costs nothing; its adjacency is computed when first read
+    (``KneserGraph.adj_masks``).
     """
-    through = [0] * h.ground_n  # per ground element, the hyperedges containing it
-    for i, e in enumerate(h.hyperedges):
-        bit = 1 << i
-        for v in e:
-            through[v] |= bit
-    everyone = (1 << h.k) - 1
-    adj = []
-    for e in h.hyperedges:
-        meets = 0
-        for v in e:
-            meets |= through[v]
-        adj.append(everyone ^ meets)
-    return KneserGraph(h, tuple(adj))
+    return KneserGraph(h)
 
 
 def matching_hypergraph(g: Graph, r: int) -> Hypergraph:

@@ -63,26 +63,30 @@ def has_independent_prefix(g: Graph, k: int) -> bool:
             blocked |= adj[v]
             fixed += 1
     tied = [v for v in range(g.n) if degrees[v] == cut]
+    need = k - fixed  # at least 1: fewer than k degrees exceed the k-th largest
     placed = 0
-
-    def pick(start: int, need: int, blocked: int) -> bool:
-        """Are there `need` pairwise non-adjacent vertices of tied[start:] outside `blocked`?"""
-        nonlocal placed
-        if need == 0:
+    # Depth-first over ascending choices from tied; one entry per open level
+    # holds the next index to try there and the neighbours of the vertices
+    # placed above it.
+    stack = [(0, blocked)]
+    while stack:
+        i, blocked = stack.pop()
+        left = need - len(stack)  # vertices still to place, this level's included
+        if i > len(tied) - left:
+            continue
+        stack.append((i + 1, blocked))
+        v = tied[i]
+        if blocked >> v & 1:
+            continue
+        placed += 1
+        if placed > PREFIX_SEARCH_BUDGET:
+            raise CapacityError(
+                f"independent-prefix search exceeded {PREFIX_SEARCH_BUDGET} vertices"
+            )
+        if left == 1:
             return True
-        for i in range(start, len(tied) - need + 1):
-            v = tied[i]
-            if not blocked >> v & 1:
-                placed += 1
-                if placed > PREFIX_SEARCH_BUDGET:
-                    raise CapacityError(
-                        f"independent-prefix search exceeded {PREFIX_SEARCH_BUDGET} vertices"
-                    )
-                if pick(i + 1, need - 1, blocked | adj[v]):
-                    return True
-        return False
-
-    return pick(0, k - fixed, blocked)
+        stack.append((i + 1, blocked | adj[v]))
+    return False
 
 
 @dataclass(frozen=True)

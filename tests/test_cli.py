@@ -11,6 +11,8 @@ import pytest
 
 import matchgraph.cli
 from matchgraph import (
+    Graph,
+    chromatic_number,
     format_graph,
     make_complete,
     make_complete_bipartite,
@@ -374,22 +376,60 @@ def test_one_kneser_build_per_instance(tmp_path, monkeypatch):
 
 
 def test_cli_never_builds_kneser_edge_view(tmp_path, monkeypatch):
-    # the solver reads the Kneser graph's neighbour masks; no edge pairs and
-    # no Graph of Kneser vertices may be built on a CLI path
+    # no edge pairs and no Graph of Kneser vertices may be built on a CLI
+    # path; the neighbour masks are built only for the clique and DSATUR
+    # searches, so not when the alternation bound meets the start coloring
     import matchgraph.hypergraphs as hypergraphs
 
-    built, edge_graphs = [], []
+    built, edge_graphs, searched = [], [], []
     real = hypergraphs.general_kneser
     monkeypatch.setattr(hypergraphs, "general_kneser",
                         lambda h: built.append(real(h)) or built[-1])
     monkeypatch.setattr(hypergraphs, "Graph", lambda *args: edge_graphs.append(args))
+    real_chi = matchgraph.cli.chromatic_number
+
+    def recording_chi(kg, *args, **kwargs):
+        cert = real_chi(kg, *args, **kwargs)
+        if cert.nodes:
+            searched.append(kg)
+        return cert
+
+    monkeypatch.setattr(matchgraph.cli, "chromatic_number", recording_chi)
     path = tmp_path / "k43.txt"
     path.write_text(format_graph(make_complete_bipartite(4, 3)), encoding="ascii")
     assert cmd_analyze(str(path), 2)["results"]["chi"] == 8
+    assert "adj_masks" not in vars(built[-1])
+    # N = 12,397: its adjacency would take about 19 MB
+    assert cmd_schrijver(28, 4)["results"]["matching_graph_vertices"] == 12397
+    assert "adj_masks" not in vars(built[-1])
     assert cmd_scan(5, 2)["results"]["graphs_scanned"] == 31
-    assert len(built) == 32
+    assert len(built) == 33
+    assert searched and all("adj_masks" in vars(kg) for kg in searched)
     assert edge_graphs == []
     assert not any("graph" in vars(kg) for kg in built)
+
+
+def test_certifying_by_the_bound_leaves_recursion_limit_alone(monkeypatch):
+    # only DSATUR raises the interpreter's recursion limit, a process-wide
+    # setting; SG(9, 3) certifies from the alternation bound with no search
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    report = cmd_schrijver(9, 3)
+    assert (report["results"]["chi"], report["results"]["search_nodes"]) == (5, 0)
+    assert calls == []
+    assert chromatic_number(make_cycle(5)).nodes > 0
+    assert len(calls) == 1
+
+
+def test_cmd_analyze_long_independent_prefix_exits_cleanly(tmp_path, capsys):
+    # the top-degree prefix of an edgeless host with 1200 vertices at
+    # r = 1100 places 1099 tied vertices, deeper than Python's recursion limit
+    path = tmp_path / "empty1200.txt"
+    path.write_text(format_graph(Graph(1200, ())), encoding="ascii")
+    assert main(["analyze", str(path), "--r", "1100"]) == EXIT_OK
+    res = json.loads(capsys.readouterr().out)["results"]
+    assert res["star_formula"]["prefix_search"] == "found"
+    assert (res["chi"], res["lower_witness"]["kind"]) == (0, "empty")
 
 
 def test_cmd_analyze_hash_ignores_path_spelling(tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from matchgraph import (
     make_cycle,
     make_disjoint_matching,
     matching_graph,
+    matching_hypergraph,
     turan_matchings,
 )
 from matchgraph.cli import cmd_analyze
@@ -183,9 +184,43 @@ def test_is_proper_matches_edge_definition():
         expected = proper_by_edges(g, coloring)
         seen.add(expected)
         assert is_proper(g, coloring) == expected
+    assert seen == {True, False}
+
+    # On a general Kneser graph is_proper reads the hyperedges, never the
+    # adjacency; each answer is checked against the Kneser edges afterwards.
+    def check(h, coloring):
+        kg = general_kneser(h)
+        answer = is_proper(kg, coloring)
+        assert "adj_masks" not in vars(kg)
+        assert answer == proper_by_edges(kg.graph, coloring)
+        return answer
+
+    # (0, 1), (1, 2) and (0, 2) pairwise meet with no element in common
+    h = Hypergraph(4, ((0, 1), (1, 2), (0, 2), (2, 3), (3,)))
+    assert check(h, (0, 0, 0, 1, 1))      # that triangle, and a star at 3
+    assert check(h, (0, 1, 1, 1, 2))      # a star at 2
+    assert not check(h, (0, 0, 0, 0, 1))  # (0, 1) and (2, 3) are disjoint
+    assert not check(h, (0, 1, 1, 1, 0))  # (0, 1) and (3,) are disjoint
     kg = matching_graph(make_complete_bipartite(4, 3), 2)
-    coloring = chromatic_number(kg).coloring
-    assert is_proper(kg, coloring) and proper_by_edges(kg.graph, coloring)
+    assert check(kg.source, chromatic_number(kg).coloring)
+    k43 = turan_matchings(make_complete_bipartite(4, 3), 2)
+    assert check(kg.source, coloring_from_extremal(kg.source, k43.extremal_edges))
+    seen.clear()
+    for _ in range(300):
+        if rng.random() < 0.5:
+            h = random_hypergraph(rng, 7, 12)
+        else:
+            h = matching_hypergraph(random_graph(rng, rng.randint(2, 7), 0.6), rng.randint(1, 3))
+        if not h.k:
+            continue
+        pick = rng.random()
+        if pick < 0.3:  # one class per smallest element: every class is a star
+            coloring = tuple(e[0] for e in h.hyperedges)
+        elif pick < 0.6:
+            coloring = chromatic_number(general_kneser(h)).coloring
+        else:
+            coloring = tuple(rng.randrange(rng.randint(1, h.k)) for _ in range(h.k))
+        seen.add(check(h, coloring))
     assert seen == {True, False}
 
 
