@@ -18,6 +18,7 @@ import os
 import sys
 import time
 
+from . import hypergraphs
 from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_salt
 from .coloring import DSATUR_BUDGET, chromatic_number, coloring_from_extremal, export_dimacs
 from .errors import CapacityError
@@ -28,7 +29,6 @@ from .graphs import (
     make_cycle,
     read_graph,
 )
-from .hypergraphs import matching_graph
 from .matching import tutte_berge
 from .orderings import euler_ordering, star_formula_conditions
 from .smallgraphs import connected_graphs_up_to
@@ -130,9 +130,11 @@ def _solve(g: Graph, r: int, orderings: dict[str, EdgeOrdering], node_budget: in
     bounds along each ordering, from one structure enumeration.  A truncated
     enumeration raises CapacityError before the Kneser graph is built."""
     ex_cert = turan_matchings(g, r)
-    kg = matching_graph(g, r)
-    if kg.n == 0:
+    if ex_cert.ex_value == g.m:
+        # No r-matching: KG(g, rK2) is empty, and nothing is enumerated.
+        kg = hypergraphs.general_kneser(hypergraphs.Hypergraph(g.m, ()))
         return ex_cert, kg, chromatic_number(kg), 0, {}
+    kg = hypergraphs.matching_graph(g, r)
     bounds = {}
     for name, sigma in orderings.items():
         ea, es = ex_alt_salt(g, sigma, ex_cert.masks)

@@ -2,7 +2,8 @@
 
 The solver is a DSATUR-style branch and bound: vertices are colored in
 order of saturation degree, a greedy clique seeds the lower bound, and a
-node budget guards against runaway searches.  A caller holding an
+node budget guards against runaway searches.  The search walks an explicit
+stack, so its depth needs no recursion headroom.  A caller holding an
 external lower bound (the alternation bound on a matching graph) can
 pass it in together with a start coloring, which lets the
 search end as soon as the bound is met; without one the search starts
@@ -20,7 +21,6 @@ never a wrong exact claim.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -122,8 +122,63 @@ def _canonicalize(coloring: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _Budget(Exception):
-    pass
+def _dsatur(g: Graph | KneserGraph, lb: int, ub: int, best: tuple[int, ...],
+            node_budget: int) -> tuple[int, tuple[int, ...], int, bool]:
+    """DSATUR from the ``ub`` colors of ``best`` down to ``lb``: (ub, its
+    coloring, nodes, exhausted).  A node counts when entered while ub > lb;
+    past ``node_budget`` nodes the search stops.  One stack frame per colored
+    vertex: (vertex, color, color limit, colors used above, neighbours touched).
+    """
+    n = g.n
+    masks, degrees = g.adj_masks, g.degrees
+    colors = [-1] * n
+    forbidden = [0] * n
+    stack: list[tuple] = []
+    nodes = used = 0
+    while True:
+        if ub > lb:  # enter a node
+            nodes += 1
+            if nodes > node_budget:
+                return ub, best, nodes, False
+            if len(stack) == n:
+                if used < ub:
+                    ub, best = used, tuple(colors)
+            else:
+                # Most saturated, then highest degree, then least index; no call
+                # per vertex, whose frame costs more at some caller depths.
+                v = sat = deg = -1
+                for u in range(n):
+                    if colors[u] == -1 and (forbidden[u].bit_count(), degrees[u]) > (sat, deg):
+                        v, sat, deg = u, forbidden[u].bit_count(), degrees[u]
+                stack.append((v, -1, min(used + 1, ub - 1), used, ()))
+        # Back up to the deepest vertex with a color left to try, and color it.
+        while stack:
+            v, c, limit, above, touched = stack[-1]
+            colors[v] = -1
+            for w in touched:
+                forbidden[w] &= ~(1 << c)
+            c += 1
+            while c < limit and forbidden[v] >> c & 1:
+                c += 1
+            if c >= limit or ub <= lb:
+                stack.pop()
+                continue
+            colors[v] = c
+            bit_c = 1 << c
+            touched = []
+            nb = masks[v]
+            while nb:
+                bit = nb & -nb
+                nb ^= bit
+                w = bit.bit_length() - 1
+                if colors[w] == -1 and not forbidden[w] & bit_c:
+                    forbidden[w] |= bit_c
+                    touched.append(w)
+            stack[-1] = (v, c, limit, above, touched)
+            used = max(above, c + 1)
+            break
+        else:
+            return ub, best, nodes, True
 
 
 def chromatic_number(
@@ -147,7 +202,7 @@ def chromatic_number(
     DSATUR runs only while the start coloring has more colors than the
     lower bound.  The adjacency (``adj_masks``, ``degrees``) is read only by
     the clique and DSATUR, so on a general Kneser graph whose bounds meet
-    without a clique it is never built, and no process-wide state changes.
+    without a clique it is never built.
     One rule names the witness of the certified lower end (chi when exact):
     "clique" if it equals the clique size, "external" if it equals
     ``known_lower``, else "exhausted".
@@ -174,59 +229,10 @@ def chromatic_number(
     if known_lower is not None:
         lb = max(lb, known_lower)
 
-    best_coloring = start
-    nodes = 0
-    exhausted = True
-    if ub > lb:
-        # DSATUR branch and bound: with the clique, the only reader of the adjacency.
-        masks = g.adj_masks
-        degrees = g.degrees
-        colors = [-1] * n
-        forbidden = [0] * n
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
-        def descend(colored: int, used: int):
-            nonlocal nodes, ub, best_coloring
-            if ub <= lb:
-                return
-            nodes += 1
-            if nodes > node_budget:
-                raise _Budget
-            if colored == n:
-                if used < ub:
-                    ub = used
-                    best_coloring = tuple(colors)
-                return
-            v = max(
-                (u for u in range(n) if colors[u] == -1),
-                key=lambda u: (forbidden[u].bit_count(), degrees[u], -u),
-            )
-            limit = min(used + 1, ub - 1)
-            for c in range(limit):
-                if forbidden[v] >> c & 1:
-                    continue
-                colors[v] = c
-                touched = []
-                bit_c = 1 << c
-                nb = masks[v]
-                while nb:
-                    bit = nb & -nb
-                    nb ^= bit
-                    w = bit.bit_length() - 1
-                    if colors[w] == -1 and not forbidden[w] & bit_c:
-                        forbidden[w] |= bit_c
-                        touched.append(w)
-                descend(colored + 1, max(used, c + 1))
-                colors[v] = -1
-                for w in touched:
-                    forbidden[w] &= ~bit_c
-                if ub <= lb:
-                    return
-
-        try:
-            descend(0, 0)
-        except _Budget:
-            exhausted = False
+    # With the clique, DSATUR is the only reader of the adjacency.
+    ub, best_coloring, nodes, exhausted = (
+        _dsatur(g, lb, ub, start, node_budget) if ub > lb else (ub, start, 0, True)
+    )
     if known_lower is not None and ub < known_lower:
         raise CertificateError(
             f"a proper coloring with {ub} colors contradicts the lower bound"

@@ -16,7 +16,8 @@ below.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import comb
 
 from .errors import CapacityError, CertificateError
 from .graphs import Graph, _bits
@@ -117,7 +118,9 @@ def maximal_free_masks(g: Graph, r: int) -> tuple[int, ...]:
     Each connected part grown and each structure enumerated counts one node
     against ``NODE_BUDGET``.  Running out raises CapacityError: alternation
     over part of the sets could come out too small, and a too-small ex_alt
-    makes |E| - ex_alt unsound.
+    makes |E| - ex_alt unsound.  There is at least one structure per vertex
+    set S of at most r - 1 vertices, so when those sets alone outnumber the
+    budget the error is raised up front, before any part is grown.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -125,6 +128,12 @@ def maximal_free_masks(g: Graph, r: int) -> tuple[int, ...]:
         # The whole edge set is already rK2-free.
         return ((1 << g.m) - 1,)
     node_budget = NODE_BUDGET
+    exceeded = CapacityError(
+        f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
+    )
+    sets = accumulate(comb(g.n, size) for size in range(min(r - 1, g.n) + 1))
+    if any(total > node_budget for total in sets):
+        raise exceeded
     inc = _incident_masks(g)
     parts, nodes = _odd_parts(g, inc, r - 1, node_budget)
     seen = set()
@@ -133,9 +142,7 @@ def maximal_free_masks(g: Graph, r: int) -> tuple[int, ...]:
     for mask in _structures(g, r, inc, parts):
         nodes += 1
         if nodes > node_budget:
-            raise CapacityError(
-                f"structure enumeration for ex(G, {r}K2) exceeded its node budget of {node_budget}"
-            )
+            raise exceeded
         seen.add(mask)
     kept: list[int] = []
     holders = [0] * g.m  # per edge, bit j is set when kept[j] holds the edge

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import traceback
 
 import pytest
 
@@ -18,6 +19,7 @@ from matchgraph import (
     make_complete_bipartite,
     make_cycle,
     make_disjoint_matching,
+    make_path,
 )
 from matchgraph.cli import (
     EXIT_INTERVAL,
@@ -410,15 +412,54 @@ def test_cli_never_builds_kneser_edge_view(tmp_path, monkeypatch):
 
 
 def test_certifying_by_the_bound_leaves_recursion_limit_alone(monkeypatch):
-    # only DSATUR raises the interpreter's recursion limit, a process-wide
-    # setting; SG(9, 3) certifies from the alternation bound with no search
+    # nothing touches the interpreter's recursion limit, a process-wide
+    # setting; SG(9, 3) certifies from the alternation bound with no search,
+    # and DSATUR walks an explicit stack, so a search 300 vertices deep runs
+    # with 100 frames of headroom
+    real_limit, set_limit = sys.getrecursionlimit(), sys.setrecursionlimit
     calls = []
     monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
     report = cmd_schrijver(9, 3)
     assert (report["results"]["chi"], report["results"]["search_nodes"]) == (5, 0)
+    set_limit(len(traceback.extract_stack()) + 100)
+    try:
+        cert = chromatic_number(make_path(300))
+    finally:
+        set_limit(real_limit)
+    assert (cert.chi, cert.lower_witness[0], cert.nodes) == (2, "clique", 301)
     assert calls == []
-    assert chromatic_number(make_cycle(5)).nodes > 0
-    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "host, r, code",
+    [
+        (make_path(3000), 1000, EXIT_USAGE),
+        (make_cycle(1200), 550, EXIT_USAGE),
+        # a chord makes P_2001 non-bipartite, which keeps odd_girth short
+        (Graph(2001, ((0, 2),) + make_path(2001).edges), 1001, EXIT_OK),
+    ],
+    ids=["path3000-r1000", "cycle1200-r550", "chorded-path2001-r1001"],
+)
+def test_cmd_analyze_deep_inputs_exit_cleanly(tmp_path, capsys, host, r, code):
+    # these once ended in a RecursionError: the first two in the structure
+    # part search, now refused up front since the vertex sets S of at most
+    # r - 1 vertices alone outnumber its budget; the third in the r-matching
+    # enumeration, now skipped since ex = |E| leaves KG(G, rK2) empty
+    path = tmp_path / "host.txt"
+    path.write_text(format_graph(host), encoding="ascii")
+    assert main(["analyze", str(path), "--r", str(r)]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    if code == EXIT_OK:
+        res = json.loads(out)["results"]
+        assert (res["chi"], res["lower_witness"]["kind"], res["matching_graph_vertices"]) == (
+            0, "empty", 0,
+        )
+    else:
+        assert err == (
+            f"error: structure enumeration for ex(G, {r}K2) exceeded its node budget"
+            f" of {matchgraph.turan.NODE_BUDGET}\n"
+        )
 
 
 def test_cmd_analyze_long_independent_prefix_exits_cleanly(tmp_path, capsys):
