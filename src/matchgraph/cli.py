@@ -62,12 +62,61 @@ def _graph_sha(g: Graph) -> str:
     return hashlib.sha256(format_graph(g).encode("ascii")).hexdigest()
 
 
+# One C encoder for every report hash: its text is json.dumps(value, sort_keys=True).
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+# A list with more items than this is hashed one item at a time.
+_LONG_LIST = 64
+
+
+def _holds_long_list(value) -> bool:
+    """Is value a long list, or a dict that holds one at some depth of dicts?
+    Exact type tests keep this walk cheap; it only decides where to cut."""
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is dict:
+            stack.extend(value.values())
+        elif (kind is list or kind is tuple) and len(value) > _LONG_LIST:
+            return True
+    return False
+
+
+def _json_pieces(value):
+    """Pieces whose concatenation is _ENCODE(value).  Only long lists and the
+    dicts that hold them are cut, so a report without one is a single piece
+    and a scan's JSON text is never held whole."""
+    if isinstance(value, dict) and _holds_long_list(value):
+        sep, run = "{", {}
+        for key, item in sorted(value.items()):
+            if _holds_long_list(item):
+                if run:
+                    yield sep + _ENCODE(run)[1:-1]
+                    sep, run = ", ", {}
+                yield sep + _ENCODE(key) + ": "
+                yield from _json_pieces(item)
+                sep = ", "
+            else:
+                run[key] = item
+        if run:
+            yield sep + _ENCODE(run)[1:-1]
+        yield "}"
+    elif isinstance(value, (list, tuple)) and len(value) > _LONG_LIST:
+        sep = "["
+        for item in value:
+            yield sep
+            yield from _json_pieces(item)
+            sep = ", "
+        yield "]"
+    else:
+        yield _ENCODE(value)
+
+
 def _finish_report(report: dict, started: float) -> dict:
     body = {k: v for k, v in report.items() if k != "timing"}
-    # hashing chunk by chunk never holds the whole JSON text of a scan.
     digest = hashlib.sha256()
-    for chunk in json.JSONEncoder(sort_keys=True).iterencode(body):
-        digest.update(chunk.encode("utf-8"))
+    for piece in _json_pieces(body):
+        digest.update(piece.encode("utf-8"))
     report["determinism_sha256"] = digest.hexdigest()
     report["timing"] = {"seconds": round(time.perf_counter() - started, 6)}
     return report

@@ -222,7 +222,7 @@ def chromatic_number(
     # A clique of a general Kneser graph is a set of pairwise-disjoint hyperedges.
     cap = ub
     if isinstance(g, KneserGraph):
-        cap = min(cap, g.source.ground_n // min(map(len, g.source.hyperedges)))
+        cap = min(cap, g.source.ground_n // min(map(int.bit_count, g.source.masks)))
     # Below an external bound the clique can neither raise lb nor be the witness.
     clique = greedy_clique(g, cap) if known_lower is None or cap >= known_lower else ()
     lb = max(len(clique), 1)

@@ -182,12 +182,27 @@ def _has_inner_edge(g: Graph, vertices: int) -> bool:
     return any(adj[v] & vertices for v in _bits(vertices))
 
 
+def _is_bipartite(g: Graph) -> bool:
+    """One BFS per component: a component is bipartite iff no edge joins
+    two vertices of one level."""
+    alive = (1 << g.n) - 1
+    while alive:
+        for level in _bfs_levels(g, alive & -alive, alive):
+            if _has_inner_edge(g, level):
+                return False
+            alive &= ~level
+    return True
+
+
 def odd_girth(g: Graph) -> int | float:
     """Length of a shortest odd cycle; INFINITE when the graph is bipartite.
 
-    BFS from every vertex; an edge inside level d closes an odd walk of
+    A bipartite graph is answered by one BFS per component.  Otherwise BFS
+    runs from every vertex; an edge inside level d closes an odd walk of
     length 2d + 1, and the minimum over all roots is the odd girth.
     """
+    if _is_bipartite(g):
+        return INFINITE
     best = INFINITE
     for root in range(g.n):
         for depth, level in enumerate(_bfs_levels(g, 1 << root, (1 << g.n) - 1)):

@@ -8,10 +8,10 @@ whose hyperedges are the r-edge matchings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph
+from .graphs import Graph, _bits
 from .matching import enumerate_matchings
 
 
@@ -19,41 +19,30 @@ from .matching import enumerate_matchings
 class Hypergraph:
     """Ground set [0, ground_n) plus distinct nonempty hyperedges.
 
-    Hyperedges are stored as sorted tuples; their list position is a stable
-    index, which the Kneser construction inherits as vertex numbering.
-    ``masks`` holds them as bitmasks, built in the loop that checks them.
+    Hyperedges are bitmasks over the ground set, the one form every reader
+    takes; their list position is a stable index, which the Kneser
+    construction inherits as vertex numbering.
     """
 
     ground_n: int
-    hyperedges: tuple[tuple[int, ...], ...]
-    masks: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
 
     def __post_init__(self):
         if self.ground_n < 0:
             raise ValueError("ground set size must be nonnegative")
-        canon = []
-        masks = []
-        seen = set()
-        for e in self.hyperedges:
-            e = tuple(sorted(set(e)))
-            if not e:
-                raise ValueError("empty hyperedge")
-            if e[0] < 0 or e[-1] >= self.ground_n:
-                raise ValueError(f"hyperedge {e} out of ground range")
-            mask = 0
-            for v in e:
-                mask |= 1 << v
-            if mask in seen:
-                raise ValueError(f"duplicate hyperedge {e}")
-            seen.add(mask)
-            canon.append(e)
-            masks.append(mask)
-        object.__setattr__(self, "hyperedges", tuple(canon))
-        object.__setattr__(self, "masks", tuple(masks))
+        masks = tuple(self.masks)
+        object.__setattr__(self, "masks", masks)
+        # Whole-tuple checks, each one pass in C.
+        if masks and min(masks) <= 0:
+            raise ValueError("empty hyperedge")
+        if masks and max(masks) >> self.ground_n:
+            raise ValueError(f"hyperedge {max(masks):#b} out of ground range")
+        if len(set(masks)) != len(masks):
+            raise ValueError("duplicate hyperedge")
 
     @property
     def k(self) -> int:
-        return len(self.hyperedges)
+        return len(self.masks)
 
 
 @dataclass(frozen=True)
@@ -83,14 +72,15 @@ class KneserGraph:
         are all the others.  Every hyperedge meets itself, so the masks are
         loop-free, and meeting is symmetric."""
         h = self.source
+        members = [_bits(mask) for mask in h.masks]
         through = [0] * h.ground_n  # per ground element, the hyperedges containing it
-        for i, e in enumerate(h.hyperedges):
+        for i, e in enumerate(members):
             bit = 1 << i
             for v in e:
                 through[v] |= bit
         everyone = (1 << h.k) - 1
         adj = []
-        for e in h.hyperedges:
+        for e in members:
             meets = 0
             for v in e:
                 meets |= through[v]
@@ -119,7 +109,8 @@ def general_kneser(h: Hypergraph) -> KneserGraph:
 
 
 def matching_hypergraph(g: Graph, r: int) -> Hypergraph:
-    """Hypergraph on the edge indices of g whose hyperedges are the r-matchings."""
+    """Hypergraph on the edge indices of g whose hyperedges are the r-matchings,
+    as the edge-index masks that ``enumerate_matchings`` emits."""
     if r < 1:
         raise ValueError("r must be at least 1")
     return Hypergraph(g.m, tuple(enumerate_matchings(g, r)))

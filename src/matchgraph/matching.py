@@ -1,8 +1,8 @@
 """Matching-number machinery: Tutte-Berge certificates that carry a maximum
 matching (one matcher run plus one blossom search per exposed vertex; the
-matching is a validated ``Matching``), r-matching enumeration (plain sorted
-edge-index tuples, checked by the enumerator's own disjointness test) and
-existence tests."""
+matching is a validated ``Matching``), r-matching enumeration (edge-index
+bitmasks, checked by the enumerator's own disjointness test) and existence
+tests."""
 
 from __future__ import annotations
 
@@ -220,26 +220,29 @@ def tutte_berge(g: Graph) -> TutteBergeWitness:
 # r-matching enumeration.
 # ---------------------------------------------------------------------------
 
-def enumerate_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
-    """All r-edge matchings as sorted edge-index tuples, each once, in
-    lexicographic order."""
+def enumerate_matchings(g: Graph, r: int) -> list[int]:
+    """All r-edge matchings as edge-index bitmasks, each once, in
+    lexicographic order of their sorted edge-index tuples.
+
+    A depth-first walk over an explicit stack of partial matchings, each
+    (next edge to try, vertices used, edge mask); a partial matching one
+    edge short is finished in one comprehension instead of one step per edge.
+    """
     if r < 1:
         raise ValueError("r must be at least 1")
-    out: list[tuple[int, ...]] = []
+    out: list[int] = []
     vm = g.edge_vertex_masks
+    bits = [1 << e for e in range(g.m)]
     m = g.m
-    chosen: list[int] = []
-
-    def extend(start: int, used: int):
-        if len(chosen) == r:
-            out.append(tuple(chosen))
-            return
-        # Not enough edges left to finish.
-        for e in range(start, m - (r - len(chosen)) + 1):
-            if not used & vm[e]:
-                chosen.append(e)
-                extend(e + 1, used | vm[e])
-                chosen.pop()
-
-    extend(0, 0)
+    stack = [(0, 0, 0)]
+    while stack:
+        start, used, mask = stack.pop()
+        short = r - mask.bit_count()
+        if short == 1:
+            out.extend([mask | bits[e] for e in range(start, m) if not used & vm[e]])
+        else:
+            # Edges past m - short leave too few to finish; children go on
+            # the stack last edge first, so the first edge is walked first.
+            stack.extend([(e + 1, used | vm[e], mask | bits[e])
+                          for e in range(m - short, start - 1, -1) if not used & vm[e]])
     return out

@@ -57,8 +57,9 @@ def _odd_parts(g: Graph, inc: list[int], max_cost: int,
 
     Each connected set is grown once from its smallest vertex (Wernicke's
     ESU scheme): a vertex joins the extension set only when it is adjacent
-    to the newest vertex and to nothing already chosen.  Growth stops once
-    more than ``budget`` sets have been grown.
+    to the newest vertex and to nothing already chosen.  A set is counted
+    and checked in its parent's loop, so a set of the largest size costs no
+    call.  Growth stops once more than ``budget`` sets have been grown.
     """
     adj = g.adj_masks
     limit = 2 * max_cost + 1
@@ -67,25 +68,38 @@ def _odd_parts(g: Graph, inc: list[int], max_cost: int,
 
     def grow(sub: int, size: int, ext: int, closed: int, above: int,
              meet: int, inside: int):
+        """Count and check each one-vertex extension of the set sub, and
+        grow it further while it is below the size limit."""
         nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return
-        if size & 1 and size >= 3 and all(inside & ~inc[v] for v in _bits(sub)):
-            parts.append((size // 2, sub, inside))
-        if size == limit:
-            return
         while ext:
             bit = ext & -ext
             ext ^= bit
+            nodes += 1
+            if nodes > budget:
+                continue
             w = bit.bit_length() - 1
-            grow(sub | bit, size + 1, ext | (adj[w] & ~closed & above),
-                 closed | adj[w], above, meet | inc[w], inside | (inc[w] & meet))
+            child, child_inside = sub | bit, inside | (inc[w] & meet)
+            if not size & 1:  # the child has an odd size of at least 3
+                rest = child
+                while rest:  # look for a vertex that every inside edge meets
+                    low = rest & -rest
+                    if not child_inside & ~inc[low.bit_length() - 1]:
+                        break
+                    rest ^= low
+                else:
+                    parts.append((size // 2, child, child_inside))
+            if size + 1 < limit:
+                grown = ext | (adj[w] & ~closed & above)
+                if grown:
+                    grow(child, size + 1, grown, closed | adj[w], above, meet | inc[w],
+                         child_inside)
 
     for v in range(g.n):
-        bit = 1 << v
-        above = -(bit << 1)  # vertices with a larger index
-        grow(bit, 1, adj[v] & above, adj[v] | bit, above, inc[v], 0)
+        nodes += 1
+        if nodes <= budget and limit > 1:
+            bit = 1 << v
+            above = -(bit << 1)  # vertices with a larger index
+            grow(bit, 1, adj[v] & above, adj[v] | bit, above, inc[v], 0)
     parts.sort(key=lambda part: part[0])
     return parts, nodes
 

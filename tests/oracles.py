@@ -21,6 +21,20 @@ from matchgraph.graphs import _bits
 
 
 # ---------------------------------------------------------------------------
+# Tuple views of hypergraphs, which the library holds as bitmasks only.
+# ---------------------------------------------------------------------------
+
+def hypergraph_of(ground_n: int, hyperedges) -> Hypergraph:
+    """Hypergraph from hyperedges written as element tuples."""
+    return Hypergraph(ground_n, tuple(sum(1 << v for v in set(e)) for e in hyperedges))
+
+
+def hyperedge_tuples(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """The hyperedges of h as sorted element tuples, in index order."""
+    return tuple(_bits(mask) for mask in h.masks)
+
+
+# ---------------------------------------------------------------------------
 # Graphs and matchings.
 # ---------------------------------------------------------------------------
 
@@ -66,7 +80,7 @@ def brute_matchings(g: Graph, r: int) -> list[tuple[int, ...]]:
 def brute_kneser_edges(h) -> list[tuple[int, int]]:
     """Edges of the general Kneser graph of h by a disjointness test on
     every pair of hyperedges, in lexicographic order."""
-    sets = [set(e) for e in h.hyperedges]
+    sets = [set(e) for e in hyperedge_tuples(h)]
     return [
         (i, j)
         for i, j in combinations(range(len(sets)), 2)
@@ -166,6 +180,39 @@ def maximal_free_masks_pairwise(g: Graph, r: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
+def odd_parts_by_recursion(g: Graph, inc: list[int], max_cost: int,
+                           budget: int) -> tuple[list[tuple[int, int, int]], int]:
+    """turan._odd_parts as a recursive ESU search: one call per connected
+    set grown, which counts it, checks it and grows it further."""
+    adj = g.adj_masks
+    limit = 2 * max_cost + 1
+    parts: list[tuple[int, int, int]] = []
+    nodes = 0
+
+    def grow(sub, size, ext, closed, above, meet, inside):
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return
+        if size & 1 and size >= 3 and all(inside & ~inc[v] for v in _bits(sub)):
+            parts.append((size // 2, sub, inside))
+        if size == limit:
+            return
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            w = bit.bit_length() - 1
+            grow(sub | bit, size + 1, ext | (adj[w] & ~closed & above),
+                 closed | adj[w], above, meet | inc[w], inside | (inc[w] & meet))
+
+    for v in range(g.n):
+        bit = 1 << v
+        above = -(bit << 1)
+        grow(bit, 1, adj[v] & above, adj[v] | bit, above, inc[v], 0)
+    parts.sort(key=lambda part: part[0])
+    return parts, nodes
+
+
 def brute_has_r_matching(g: Graph, edge_ids, r: int) -> bool:
     for subset in combinations(sorted(edge_ids), r):
         seen = set()
@@ -226,6 +273,26 @@ def odd_girth_by_cycle_enumeration(g: Graph):
     for s in range(g.n):
         walk(s, s, {s}, 1)
     return best[0] if best[0] is not None else float("inf")
+
+
+def odd_girth_by_root_bfs(g: Graph):
+    """Shortest odd cycle by a distance BFS from every vertex: an edge
+    between two vertices at distance d from the root closes an odd walk of
+    length 2d + 1, and the minimum over all roots is the odd girth."""
+    nbrs = neighbour_lists(g)
+    best = float("inf")
+    for root in range(g.n):
+        dist = {root: 0}
+        queue = [root]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        for u, v in g.edges:
+            if u in dist and v in dist and dist[u] == dist[v]:
+                best = min(best, 2 * dist[u] + 1)
+    return best
 
 
 def tour_is_valid(edges, tour, start) -> bool:
@@ -388,7 +455,7 @@ def _sign_search(h: Hypergraph, sigma: EdgeOrdering, strong: bool) -> int:
         raise CapacityError(f"ground set of size {n} exceeds search cap {SIGN_SEARCH_CAP}")
     masks = h.masks
     through = [0] * n  # per ground element, the hyperedges containing it
-    for i, e in enumerate(h.hyperedges):
+    for i, e in enumerate(hyperedge_tuples(h)):
         for v in e:
             through[v] |= 1 << i
     order = sigma.perm
@@ -513,4 +580,4 @@ def random_hypergraph(rng: random.Random, max_n: int, max_edges: int):
     for _ in range(k):
         size = rng.randint(1, n)
         hedges.add(tuple(sorted(rng.sample(range(n), size))))
-    return Hypergraph(n, tuple(sorted(hedges)))
+    return hypergraph_of(n, sorted(hedges))

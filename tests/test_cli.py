@@ -81,6 +81,39 @@ def test_determinism_hash_stable():
     assert a["results"] == b["results"]
 
 
+def _plain_sha(report: dict) -> str:
+    body = {k: v for k, v in report.items() if k not in ("timing", "determinism_sha256")}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+def test_determinism_hash_is_sha_of_sorted_json(tmp_path):
+    # the hash is the sha256 of json.dumps(body, sort_keys=True), however the
+    # encoder cuts its text; cmd_scan(6, 2) holds a list long enough to cut
+    path = tmp_path / "k43.txt"
+    path.write_text(format_graph(make_complete_bipartite(4, 3)), encoding="ascii")
+    reports = [cmd_scan(5, 2), cmd_scan(6, 2), cmd_analyze(str(path), 2), cmd_schrijver(9, 3)]
+    for report in reports:
+        assert report["determinism_sha256"] == _plain_sha(report)
+    records = reports[1]["results"]["records"]
+    assert len(records) > matchgraph.cli._LONG_LIST >= len(reports[0]["results"]["records"])
+
+
+def test_json_pieces_cut_only_around_long_lists():
+    long = matchgraph.cli._LONG_LIST + 1
+    value = {
+        "b": {"deep": [{"x": (i, "\u00e9")} for i in range(long)], "a": [1.5, None]},
+        "a": list(range(long)),
+        "c": {"k": [True] * 3},
+        "d": float("inf"),
+    }
+    pieces = list(matchgraph.cli._json_pieces(value))
+    text = "".join(pieces)
+    assert text == json.dumps(value, sort_keys=True)
+    assert max(map(len, pieces)) < len(text) / 20  # no piece holds a long list whole
+    short = {"a": list(range(long - 1)), "b": {"c": (1, 2)}}
+    assert list(matchgraph.cli._json_pieces(short)) == [json.dumps(short, sort_keys=True)]
+
+
 def test_cmd_scan_small():
     report = cmd_scan(4, 2)
     results = report["results"]
@@ -435,10 +468,12 @@ def test_certifying_by_the_bound_leaves_recursion_limit_alone(monkeypatch):
     [
         (make_path(3000), 1000, EXIT_USAGE),
         (make_cycle(1200), 550, EXIT_USAGE),
-        # a chord makes P_2001 non-bipartite, which keeps odd_girth short
+        # the chord (0, 2) makes P_2001 non-bipartite, so odd_girth runs its
+        # per-root search; the plain path is answered by one BFS
         (Graph(2001, ((0, 2),) + make_path(2001).edges), 1001, EXIT_OK),
+        (make_path(2001), 1001, EXIT_OK),
     ],
-    ids=["path3000-r1000", "cycle1200-r550", "chorded-path2001-r1001"],
+    ids=["path3000-r1000", "cycle1200-r550", "chorded-path2001-r1001", "path2001-r1001"],
 )
 def test_cmd_analyze_deep_inputs_exit_cleanly(tmp_path, capsys, host, r, code):
     # these once ended in a RecursionError: the first two in the structure
@@ -602,3 +637,57 @@ def test_ordering_file_of_wrong_length_is_rejected(tmp_path, capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3 entries" in err
+
+
+def _fuzz_graph_text(rng: random.Random) -> bytes:
+    """A small graph file: well formed, or broken in one of several ways."""
+    kind = rng.choice(("random", "random", "edgeless", "path", "broken", "bytes"))
+    if kind == "edgeless":
+        return f"{rng.randint(0, 12)} 0\n".encode()
+    if kind == "path":
+        return format_graph(make_path(rng.randint(1, 30))).encode()
+    n = rng.randint(1, 8)
+    edges = sorted({tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(0, 12))}
+                   if n > 1 else ())
+    lines = [f"{n} {len(edges)}"] + [f"{u} {v}" for u, v in edges]
+    if kind == "broken":
+        at = rng.randrange(len(lines) + 1)
+        lines.insert(at, rng.choice((
+            "1 2 3", "a b", "0 0", "-1 2", "5", "", "# note", "1\t2", "2 1", " 3 4",
+            "0 99", "1.5 2", "99999999999999999999 1",
+        )))
+    text = "\n".join(lines) + rng.choice(("\n", "", "\r\n"))
+    data = text.encode()
+    if kind == "bytes":
+        at = rng.randrange(len(data) + 1)
+        data = data[:at] + rng.choice((b"\xe9", b"\xff\xfe", "\u00e9".encode(), b"\x00")) + data[at:]
+    return data
+
+
+def test_cli_fuzz_never_raises(tmp_path, capsys):
+    # seeded random graph files and flags through main: every run ends in a
+    # documented exit code, and no exception escapes
+    rng = random.Random(5)
+    path = tmp_path / "fuzz.txt"
+    codes = []
+    for _ in range(400):
+        data = _fuzz_graph_text(rng)
+        path.write_bytes(data)
+        first = data.split(b"\n", 1)[0].split(b" ")
+        n = int(first[0]) if first[0].isdigit() and len(first[0]) < 4 else 8
+        args = ["analyze", str(path), "--r", str(rng.randint(0, n + 2))]
+        if rng.random() < 0.7:
+            args += ["--max-nodes", str(rng.choice((0, 1, 5, 50)))]
+        if rng.random() < 0.3:
+            args += ["--ordering", "identity"]
+        if rng.random() < 0.3:
+            args += ["--format", "table"]
+        if rng.random() < 0.1:
+            args = ["dimacs", str(path)]
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_INTERVAL, EXIT_VIOLATION), args
+        assert "Traceback" not in err
+        assert (code == EXIT_USAGE) == err.startswith("error: "), (args, err)
+        codes.append(code)
+    assert {EXIT_OK, EXIT_USAGE, EXIT_INTERVAL} <= set(codes)

@@ -5,7 +5,6 @@ import pytest
 from matchgraph import (
     CertificateError,
     Graph,
-    Hypergraph,
     chromatic_number,
     coloring,
     coloring_from_extremal,
@@ -28,6 +27,8 @@ from tests.oracles import (
     chromatic_by_backtracking,
     greedy_clique_by_scan,
     greedy_dsatur,
+    hyperedge_tuples,
+    hypergraph_of,
     proper_by_edges,
     random_connected_graph,
     random_graph,
@@ -196,7 +197,7 @@ def test_is_proper_matches_edge_definition():
         return answer
 
     # (0, 1), (1, 2) and (0, 2) pairwise meet with no element in common
-    h = Hypergraph(4, ((0, 1), (1, 2), (0, 2), (2, 3), (3,)))
+    h = hypergraph_of(4, ((0, 1), (1, 2), (0, 2), (2, 3), (3,)))
     assert check(h, (0, 0, 0, 1, 1))      # that triangle, and a star at 3
     assert check(h, (0, 1, 1, 1, 2))      # a star at 2
     assert not check(h, (0, 0, 0, 0, 1))  # (0, 1) and (2, 3) are disjoint
@@ -215,7 +216,7 @@ def test_is_proper_matches_edge_definition():
             continue
         pick = rng.random()
         if pick < 0.3:  # one class per smallest element: every class is a star
-            coloring = tuple(e[0] for e in h.hyperedges)
+            coloring = tuple((mask & -mask).bit_length() - 1 for mask in h.masks)
         elif pick < 0.6:
             coloring = chromatic_number(general_kneser(h)).coloring
         else:
@@ -263,7 +264,7 @@ def test_coloring_from_extremal_general_hypergraphs():
     for _ in range(200):
         h = random_hypergraph(rng, 8, 12)
         free = set(rng.sample(range(h.ground_n), rng.randint(0, h.ground_n)))
-        if any(set(e) <= free for e in h.hyperedges):
+        if any(set(e) <= free for e in hyperedge_tuples(h)):
             with pytest.raises(CertificateError):
                 coloring_from_extremal(h, free)
             rejected += 1
@@ -273,7 +274,7 @@ def test_coloring_from_extremal_general_hypergraphs():
         assert len(set(col)) <= h.ground_n - len(free)
         checked += 1
     assert checked > 50 and rejected > 20
-    h = Hypergraph(4, ((0, 1), (2, 3), (1, 2)))
+    h = hypergraph_of(4, ((0, 1), (2, 3), (1, 2)))
     assert coloring_from_extremal(h, {1}) == (0, 1, 1)
     with pytest.raises(ValueError):
         coloring_from_extremal(h, {4})

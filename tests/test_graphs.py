@@ -20,10 +20,12 @@ from matchgraph import (
     odd_girth,
     parse_graph,
 )
+from matchgraph import graphs
 from matchgraph.graphs import component_masks, is_connected
 
 from tests.oracles import (
     odd_girth_by_cycle_enumeration,
+    odd_girth_by_root_bfs,
     random_graph,
     to_networkx,
     tour_is_valid,
@@ -120,6 +122,42 @@ def test_odd_girth_against_cycle_enumeration():
     for _ in range(50):
         g = random_graph(rng, rng.randint(3, 8), rng.random())
         assert odd_girth(g) == odd_girth_by_cycle_enumeration(g)
+
+
+def test_odd_girth_against_root_bfs():
+    # bipartite hosts are answered by the per-component BFS, the others by
+    # the per-root search; both must agree with a BFS from every root
+    rng = random.Random(47)
+    answers = set()
+    for _ in range(300):
+        n = rng.randint(0, 14)
+        if rng.random() < 0.4:  # bipartite, possibly disconnected
+            side = [rng.random() < 0.5 for _ in range(n)]
+            g = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)
+                               if side[u] != side[v] and rng.random() < 0.4))
+        else:
+            g = random_graph(rng, n, rng.random() * 0.6)
+        got = odd_girth(g)
+        assert got == odd_girth_by_root_bfs(g)
+        answers.add(got)
+    assert math.inf in answers and {3, 5} <= answers
+
+
+def test_odd_girth_of_bipartite_host_runs_one_bfs_per_component(monkeypatch):
+    calls = []
+    walk = graphs._bfs_levels
+
+    def counted(*args):
+        calls.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(graphs, "_bfs_levels", counted)
+    assert odd_girth(make_path(2001)) == math.inf
+    assert len(calls) == 1
+    calls.clear()
+    two_paths = Graph(8, ((0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)))
+    assert odd_girth(two_paths) == math.inf
+    assert calls == [1, 1 << 4]
 
 
 def test_odd_girth_infinite_iff_bipartite():

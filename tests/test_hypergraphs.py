@@ -17,29 +17,54 @@ from matchgraph import (
     odd_girth,
 )
 
-from tests.oracles import brute_kneser_edges, random_graph, random_hypergraph
+from tests.oracles import (
+    brute_kneser_edges,
+    hyperedge_tuples,
+    hypergraph_of,
+    random_graph,
+    random_hypergraph,
+)
 
 
 def test_hypergraph_invariants():
     with pytest.raises(ValueError):
-        Hypergraph(3, ((),))
+        hypergraph_of(3, ((),))
     with pytest.raises(ValueError):
-        Hypergraph(3, ((0, 1), (1, 0)))  # duplicate after canonicalization
+        hypergraph_of(3, ((0, 1), (1, 0)))  # duplicate after canonicalization
     with pytest.raises(ValueError):
-        Hypergraph(2, ((0, 2),))
-    h = Hypergraph(3, ((2, 0), (1,)))
-    assert h.hyperedges == ((0, 2), (1,))
+        hypergraph_of(2, ((0, 2),))
+    h = hypergraph_of(3, ((2, 0), (1,)))
+    assert h.masks == (0b101, 0b10) and hyperedge_tuples(h) == ((0, 2), (1,))
+
+
+@pytest.mark.parametrize("ground_n, masks", [
+    (3, (0,)),                 # empty
+    (3, (0b1, 0)),             # empty after a good one
+    (3, (-1,)),                # no set of elements
+    (2, (0b100,)),             # element 2 outside [0, 2)
+    (0, (0b1,)),               # any element is outside an empty ground set
+    (3, (0b11, 0b110, 0b11)),  # duplicate
+    (-1, ()),                  # negative ground set size
+])
+def test_hypergraph_rejects_bad_masks(ground_n, masks):
+    with pytest.raises(ValueError):
+        Hypergraph(ground_n, masks)
+
+
+def test_hypergraph_accepts_edge_cases():
+    assert Hypergraph(0, ()).k == 0
+    assert Hypergraph(3, [0b111, 0b1]).masks == (0b111, 0b1)  # any sequence, held as a tuple
 
 
 def test_general_kneser_examples():
-    k2 = general_kneser(Hypergraph(2, ((0,), (1,)))).graph
+    k2 = general_kneser(hypergraph_of(2, ((0,), (1,)))).graph
     assert (k2.n, k2.m) == (2, 1)
 
-    h = Hypergraph(4, ((0, 1), (1, 2), (2, 3)))
+    h = hypergraph_of(4, ((0, 1), (1, 2), (2, 3)))
     g = general_kneser(h).graph
     assert g.edges == ((0, 2),)
 
-    pet = general_kneser(Hypergraph(5, tuple(combinations(range(5), 2)))).graph
+    pet = general_kneser(hypergraph_of(5, tuple(combinations(range(5), 2)))).graph
     assert pet.n == 10 and pet.m == 15
     assert set(pet.degrees) == {3}
     assert odd_girth(pet) == 5
@@ -48,12 +73,12 @@ def test_general_kneser_examples():
 def test_general_kneser_matches_pairwise_disjointness():
     rng = random.Random(23)
     cases = [
-        Hypergraph(0, ()),
-        Hypergraph(3, ()),
-        Hypergraph(1, ((0,),)),
-        Hypergraph(4, ((1, 3),)),
-        Hypergraph(3, ((0,), (1,), (2,))),
-        Hypergraph(4, ((2,), (0, 1, 2, 3))),
+        hypergraph_of(0, ()),
+        hypergraph_of(3, ()),
+        hypergraph_of(1, ((0,),)),
+        hypergraph_of(4, ((1, 3),)),
+        hypergraph_of(3, ((0,), (1,), (2,))),
+        hypergraph_of(4, ((2,), (0, 1, 2, 3))),
     ]
     cases += [random_hypergraph(rng, 9, 14) for _ in range(200)]
     cases += [matching_hypergraph(random_graph(rng, 6, 0.6), rng.randint(1, 3)) for _ in range(30)]
@@ -70,15 +95,15 @@ def test_general_kneser_matches_pairwise_disjointness():
         assert kg.graph.edges == tuple(edges)
     sizes = [h.k for h in cases]
     assert 0 in sizes and 1 in sizes
-    assert any(len(e) == 1 for h in cases[6:] for e in h.hyperedges)
+    assert any(mask.bit_count() == 1 for h in cases[6:] for mask in h.masks)
 
 
 def test_matching_hypergraph_examples():
     mh = matching_hypergraph(make_cycle(4), 2)
-    assert mh.ground_n == 4 and mh.hyperedges == ((0, 2), (1, 3))
+    assert mh.ground_n == 4 and hyperedge_tuples(mh) == ((0, 2), (1, 3))
 
     mh5 = matching_hypergraph(make_cycle(5), 2)
-    assert mh5.k == 5 and all(len(e) == 2 for e in mh5.hyperedges)
+    assert mh5.k == 5 and all(mask.bit_count() == 2 for mask in mh5.masks)
 
     assert matching_hypergraph(make_complete_bipartite(1, 3), 2).k == 0
 
@@ -113,7 +138,7 @@ def test_kneser_restriction_gives_induced_subgraph():
         if h.k < 3:
             continue
         keep = sorted(rng.sample(range(h.k), h.k - 1))
-        sub = Hypergraph(h.ground_n, tuple(h.hyperedges[i] for i in keep))
+        sub = Hypergraph(h.ground_n, tuple(h.masks[i] for i in keep))
         big = general_kneser(h).graph
         small = general_kneser(sub).graph
         expected = {

@@ -16,6 +16,7 @@ from matchgraph import (
     odd_components,
     tutte_berge,
 )
+from matchgraph.graphs import _bits
 
 from tests.oracles import (
     brute_has_r_matching,
@@ -172,13 +173,17 @@ def test_enumerate_matchings_examples():
 
 
 def test_enumerate_matchings_lex_and_complete():
+    # edge-index masks whose sorted tuples are exactly the r-matchings, in
+    # lexicographic order, from r = 1 up past the matching number
     rng = random.Random(41)
-    for _ in range(40):
-        g = random_graph(rng, rng.randint(2, 8), rng.random())
-        r = rng.randint(1, 3)
-        mine = enumerate_matchings(g, r)
+    for _ in range(150):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        r = rng.randint(1, 5)
+        masks = enumerate_matchings(g, r)
+        mine = [_bits(mask) for mask in masks]
         assert mine == sorted(mine)
         assert mine == brute_matchings(g, r)
+        assert all(mask.bit_count() == r for mask in masks)
 
 
 def test_enumeration_count_equals_line_graph_independent_sets():

@@ -1,6 +1,8 @@
 """Source-level checks on the package itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import matchgraph
@@ -249,3 +251,44 @@ def test_no_module_level_caches_in_package():
         and any(name_of(d) in ("lru_cache", "cache") for d in node.decorator_list)
     ]
     assert found == []
+
+
+# Names in src/ that the benchmark harness reads.  Functions are looked up by
+# their "module.name" span strings; attributes are read off return values by
+# the tracer's observers.  A rename would zero a per-layer metric silently.
+PERFBENCH_FUNCTIONS = (
+    "hypergraphs.general_kneser",
+    "matching.enumerate_matchings",
+    "matching.edge_subset_has_r_matching",
+    "matching.tutte_berge",
+    "turan.turan_matchings",
+    "coloring.chromatic_number",
+    "smallgraphs.canonical_form",
+)
+PERFBENCH_ATTRIBUTES = (
+    ("hypergraphs", "KneserGraph", "graph"),
+    ("turan", "TuranCertificate", "method"),
+)
+
+
+def test_names_perfbench_reads_exist():
+    bench = Path(__file__).parent.parent / "perfbench"
+    strings, attributes = set(), set()
+    for path in bench.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                strings.add(node.value)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    for name in PERFBENCH_FUNCTIONS:
+        assert name in strings, f"perfbench no longer reads {name}"
+        module, _, function = name.partition(".")
+        obj = getattr(importlib.import_module(f"matchgraph.{module}"), function, None)
+        # the tracer wraps only functions defined in the module itself
+        assert inspect.isfunction(obj) and obj.__module__ == f"matchgraph.{module}", name
+    for module, cls_name, attr in PERFBENCH_ATTRIBUTES:
+        assert attr in attributes, f"perfbench no longer reads .{attr}"
+        cls = getattr(importlib.import_module(f"matchgraph.{module}"), cls_name)
+        assert attr in vars(cls) or attr in getattr(cls, "__dataclass_fields__", {}), (
+            f"{cls_name}.{attr}"
+        )

@@ -20,6 +20,7 @@ from tests.oracles import (
     brute_turan,
     brute_turan_witness,
     maximal_free_masks_pairwise,
+    odd_parts_by_recursion,
     random_graph,
 )
 
@@ -82,6 +83,26 @@ def test_turan_budget_raises_while_growing_parts(monkeypatch):
         turan_matchings(g, 3)
     with pytest.raises(CapacityError, match="node budget of 5"):
         maximal_free_masks(g, 3)
+
+
+def test_odd_parts_match_recursive_search():
+    # the same parts in the same order and the same node count as one call
+    # per grown set, so every budget CapacityError fires where it did; small
+    # budgets cut the growth at every depth
+    rng = random.Random(29)
+    truncated = 0
+    for _ in range(600):
+        g = random_graph(rng, rng.randint(1, 9), rng.random())
+        inc = turan._incident_masks(g)
+        cost = rng.randint(1, 3)
+        budget = rng.choice((1, 2, 3, 5, 8, 13, 40, 150, turan.NODE_BUDGET))
+        expected = odd_parts_by_recursion(g, inc, cost, budget)
+        assert turan._odd_parts(g, inc, cost, budget) == expected
+        truncated += expected[1] > budget
+    assert truncated > 100
+    for g, cost in [(make_complete(9), 3), (make_cycle(9), 4), (Graph(9, ()), 2)]:
+        inc = turan._incident_masks(g)
+        assert turan._odd_parts(g, inc, cost, 10**6) == odd_parts_by_recursion(g, inc, cost, 10**6)
 
 
 def test_truncated_run_stays_within_its_budget(monkeypatch):
