@@ -11,12 +11,21 @@ budget refusal that leaves no sound interval to report.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
 import sys
 import time
+
+# CPython's own SHA-256, which hashlib falls back to: importing hashlib loads
+# OpenSSL (about 3.5 MB of resident memory) for this one digest.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # builds configured without CPython's own SHA-256
+        from hashlib import sha256
 
 from . import hypergraphs
 from .alternation import EdgeOrdering, alternation_chi_lower, ex_alt_salt
@@ -59,7 +68,7 @@ def _jsonable(value):
 
 
 def _graph_sha(g: Graph) -> str:
-    return hashlib.sha256(format_graph(g).encode("ascii")).hexdigest()
+    return sha256(format_graph(g).encode("ascii")).hexdigest()
 
 
 # One C encoder for every report hash: its text is json.dumps(value, sort_keys=True).
@@ -114,7 +123,7 @@ def _json_pieces(value):
 
 def _finish_report(report: dict, started: float) -> dict:
     body = {k: v for k, v in report.items() if k != "timing"}
-    digest = hashlib.sha256()
+    digest = sha256()
     for piece in _json_pieces(body):
         digest.update(piece.encode("utf-8"))
     report["determinism_sha256"] = digest.hexdigest()
@@ -389,14 +398,13 @@ _scan_certificates = _shared_key_dicts()
 
 
 def _scan_one(task) -> dict:
-    n, edges, r, node_budget = task
-    g = Graph(n, edges)
+    g, r, node_budget = task
     orderings = {"euler": euler_ordering(g), "identity": EdgeOrdering.identity(g.m)}
     ex_cert, kg, cert, lb, _ = _solve(g, r, orderings, node_budget)
     # The graph's own edge pairs and one shared extremal list keep the report small.
     extremal = sorted(ex_cert.extremal_edges)
     record = _scan_record(
-        n=n,
+        n=g.n,
         edges=g.edges,
         r=r,
         ex=ex_cert.ex_value,
@@ -434,9 +442,7 @@ def cmd_scan(
         raise ValueError(f"scan needs 1 <= max_n <= 7, got {max_n}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    tasks = [
-        (g.n, g.edges, r, node_budget) for g in connected_graphs_up_to(max_n)
-    ]
+    tasks = [(g, r, node_budget) for g in connected_graphs_up_to(max_n)]
     if jobs > 1:
         # Imported here: a one-process scan or analyze never pays for it.
         from multiprocessing import Pool

@@ -22,9 +22,7 @@ never a wrong exact claim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import and_
 from typing import Sequence
 
 from .errors import CertificateError
@@ -64,12 +62,18 @@ def is_proper(g: Graph | KneserGraph, coloring: Sequence[int]) -> bool:
     if len(coloring) != g.n or any(c is None or c < 0 for c in coloring):
         raise ValueError("coloring must assign a color to every vertex")
     if isinstance(g, KneserGraph):
-        members: dict[int, list[int]] = {}
-        for mask, c in zip(g.source.masks, coloring):
-            members.setdefault(c, []).append(mask)
+        hyperedges = g.source.masks
+        common: dict[int, int] = {}
+        for mask, c in zip(hyperedges, coloring):
+            common[c] = common.get(c, mask) & mask
+        apart = {c: [] for c, meet in common.items() if not meet}
+        if not apart:
+            return True
+        for mask, c in zip(hyperedges, coloring):
+            if c in apart:
+                apart[c].append(mask)
         return all(
-            reduce(and_, masks) or all(a & b for a, b in combinations(masks, 2))
-            for masks in members.values()
+            all(a & b for a, b in combinations(masks, 2)) for masks in apart.values()
         )
     classes: dict[int, int] = {}
     for v, c in enumerate(coloring):
@@ -113,13 +117,8 @@ def greedy_clique(g: Graph | KneserGraph, cap: int) -> tuple[int, ...]:
 
 
 def _canonicalize(coloring: Sequence[int]) -> tuple[int, ...]:
-    remap: dict[int, int] = {}
-    out = []
-    for c in coloring:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return tuple(out)
+    remap = {c: i for i, c in enumerate(dict.fromkeys(coloring))}
+    return tuple([remap[c] for c in coloring])
 
 
 def _dsatur(g: Graph | KneserGraph, lb: int, ub: int, best: tuple[int, ...],
@@ -275,14 +274,11 @@ def coloring_from_extremal(h: Hypergraph, free) -> tuple[int, ...]:
         if not 0 <= e < h.ground_n:
             raise ValueError(f"ground element {e} out of range")
         free_mask |= 1 << e
-    colors = []
-    for mask in h.masks:
-        outside = mask & ~free_mask
-        if not outside:
-            raise CertificateError("the free set contains a hyperedge")
-        # The rank of the lowest outside element counts the outside elements below it.
-        colors.append((((outside & -outside) - 1) & ~free_mask).bit_count())
-    return tuple(colors)
+    outside = [mask & ~free_mask for mask in h.masks]
+    if 0 in outside:
+        raise CertificateError("the free set contains a hyperedge")
+    # The rank of the lowest outside element counts the outside elements below it.
+    return tuple([(((o & -o) - 1) & ~free_mask).bit_count() for o in outside])
 
 
 def export_dimacs(g: Graph) -> str:

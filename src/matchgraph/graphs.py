@@ -179,7 +179,13 @@ def _bits(mask: int) -> tuple[int, ...]:
 def _has_inner_edge(g: Graph, vertices: int) -> bool:
     """Does some edge join two vertices of the vertex mask?"""
     adj = g.adj_masks
-    return any(adj[v] & vertices for v in _bits(vertices))
+    rest = vertices
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if adj[low.bit_length() - 1] & vertices:
+            return True
+    return False
 
 
 def _is_bipartite(g: Graph) -> bool:

@@ -163,13 +163,19 @@ def maximal_free_masks(g: Graph, r: int) -> tuple[int, ...]:
     for mask in sorted(seen, key=lambda mk: (-mk.bit_count(), mk)):
         # Every kept mask is at least as large, so only they can contain it,
         # and one does iff it holds every edge of the mask.
-        edges = _bits(mask)
         containers = (1 << len(kept)) - 1
-        for e in edges:
-            containers &= holders[e]
+        rest = mask
+        while rest and containers:
+            low = rest & -rest
+            rest ^= low
+            containers &= holders[low.bit_length() - 1]
         if not containers:
-            for e in edges:
-                holders[e] |= 1 << len(kept)
+            bit = 1 << len(kept)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                holders[low.bit_length() - 1] |= bit
             kept.append(mask)
     return tuple(kept)
 

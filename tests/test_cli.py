@@ -156,26 +156,42 @@ def test_cmd_scan_n7_r3_pinned():
     assert results["capacity_failures"] == []
 
 
-def test_cli_import_leaves_numpy_out():
-    # in a fresh interpreter: the test process itself has numpy via networkx
-    code = "import sys, matchgraph.cli; print('numpy' in sys.modules)"
+def _loaded_by_cli_import(module: str) -> bool:
+    """Does `import matchgraph.cli` load the module in a fresh interpreter?"""
+    code = f"import sys, matchgraph.cli; print({module!r} in sys.modules)"
     src = os.path.dirname(os.path.dirname(matchgraph.cli.__file__))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_numpy_out():
+    # the test process itself has numpy via networkx
+    assert not _loaded_by_cli_import("numpy")
 
 
 def test_cli_import_leaves_multiprocessing_out():
-    # in a fresh interpreter: cmd_scan imports it only for jobs > 1
-    code = "import sys, matchgraph.cli; print('multiprocessing' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(matchgraph.cli.__file__))
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert out.stdout.strip() == "False"
+    # cmd_scan imports it only for jobs > 1
+    assert not _loaded_by_cli_import("multiprocessing")
+
+
+def test_cli_import_leaves_openssl_out():
+    # hashlib's OpenSSL module costs about 3.5 MB of resident memory
+    if matchgraph.cli.sha256.__module__ == "_hashlib":
+        pytest.skip("this Python build has no built-in SHA-256")
+    assert not _loaded_by_cli_import("_hashlib")
+
+
+def test_digests_equal_hashlib_sha256(tmp_path):
+    for g in (Graph(1, ()), make_path(5), make_complete_bipartite(4, 3)):
+        path = tmp_path / "g.txt"
+        path.write_text(format_graph(g), encoding="ascii")
+        expected = hashlib.sha256(format_graph(g).encode("ascii")).hexdigest()
+        assert cmd_analyze(str(path), 1)["inputs"]["graph_sha256"] == expected
+    data = bytes(range(256)) * 9
+    assert matchgraph.cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 def test_cmd_scan_pool_bounded_by_cpu_count(monkeypatch):

@@ -10,6 +10,7 @@ from matchgraph import (
     make_cycle,
     smallgraphs,
 )
+from matchgraph.graphs import component_masks
 from matchgraph.smallgraphs import canonical_form, connected_graphs_up_to
 from tests.oracles import brute_canonical_form, random_graph
 
@@ -79,10 +80,37 @@ def test_generation_canonical_forms_per_order(monkeypatch):
 
     monkeypatch.setattr(smallgraphs, "canonical_form", spy)
     assert len(list(connected_graphs_up_to(7))) == 996
-    # children whose new vertex has the least degree among the non-cut
-    # vertices; every nonempty neighbourhood of the 143 parents would give 7815
-    assert calls == {2: 1, 3: 3, 4: 11, 5: 53, 6: 296, 7: 2432}
-    assert sum(calls.values()) == 2796
+    # children whose new vertex passes the deletion test; least degree among
+    # the non-cut vertices alone would give 2796, and every nonempty
+    # neighbourhood of the 143 parents 7815
+    assert calls == {2: 1, 3: 3, 4: 11, 5: 48, 6: 247, 7: 1858}
+    assert sum(calls.values()) == 2168
+
+
+def _passing(g: Graph) -> set[int]:
+    return {v for v in range(g.n) if smallgraphs._deletable(list(g.adj_masks), v)}
+
+
+def test_deletion_test_is_isomorphism_invariant():
+    # the vertices that pass map onto those of any relabelled copy, every
+    # connected graph has one, and deleting it leaves a connected graph, so
+    # every graph is reached from some parent
+    rng = random.Random(7)
+    for g in connected_graphs_up_to(6):
+        passing = _passing(g)
+        assert passing
+        assert all(len(component_masks(g, (v,))) <= 1 for v in passing)
+        for _ in range(3):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = Graph(g.n, tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges)))
+            assert _passing(h) == {perm[v] for v in passing}
+    # below 7 vertices every cut vertex has higher degree than some non-cut
+    # one, so the loop above never needs the cut check; here the middle
+    # vertex 6 of two triangles joined through it ties the least non-cut
+    # degree with the largest neighbour degrees, and only the check drops it
+    linked = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 6), (3, 4), (3, 5), (3, 6), (4, 5)))
+    assert _passing(linked) == {0, 1, 4, 5}
 
 
 def test_generation_pinned():
