@@ -20,11 +20,10 @@ from .coloring import (
     greedy_clique,
     is_proper,
 )
-from .errors import CapacityError, CertificateError, GraphParseError, NotEulerianError
+from .errors import CapacityError, CertificateError, GraphParseError
 from .graphs import (
     INFINITE,
     Graph,
-    eulerian_tour,
     format_graph,
     is_connected,
     make_complete,

@@ -30,7 +30,10 @@ class EdgeOrdering:
     perm: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(p) for p in self.perm))
+        object.__setattr__(self, "perm", tuple(self.perm))
+        for p in self.perm:
+            if type(p) is not int:
+                raise ValueError(f"ordering entry {p!r} is not an int")
         if sorted(self.perm) != list(range(len(self.perm))):
             raise ValueError("ordering is not a permutation of 0..m-1")
 
@@ -65,6 +68,22 @@ def _alternation(first: int, second: int) -> int:
         length += 1
 
 
+def _against_all(moved: int, last: int) -> int:
+    """``_alternation(moved, everything)`` in closed form, where ``last`` is
+    the bit of the last position.
+
+    Every pick from moved is followed by the very next position, so moved's
+    picks are the positions the greedy takes at least two apart; each counts
+    twice, less one when it is the last position.
+    """
+    length = 0
+    while moved:
+        low = moved & -moved
+        length += 2 - (low == last)
+        moved &= -(low << 2)
+    return length
+
+
 def ex_alt_salt(g: Graph, sigma: EdgeOrdering, masks: tuple[int, ...]) -> tuple[int, int]:
     """(ex_alt, ex_salt) of rK2 along sigma, where ``masks`` are all the
     inclusion-maximal rK2-free edge sets of g (``turan_matchings(g, r).masks``).
@@ -75,21 +94,30 @@ def ex_alt_salt(g: Graph, sigma: EdgeOrdering, masks: tuple[int, ...]) -> tuple[
     alternation over ordered pairs (A, B) of maximal sets; alternation only
     grows with the sets, so a set's two alternations against the whole edge
     set bound every pair it takes part in.
+
+    A set's two alternations against the whole edge set come in closed
+    form from ``_against_all``, in the loop that maps the sets to positions.
     """
-    if len(sigma) != g.m:
+    m = g.m
+    if len(sigma) != m:
         raise ValueError("ordering length does not match edge count")
-    position = [0] * g.m
+    position = [0] * m
     for p, e in enumerate(sigma.perm):
         position[e] = 1 << p
-    everything = (1 << g.m) - 1
+    last = 1 << m >> 1  # the last position; 0 when there is none
     table = []  # per maximal set: its mask over positions, then as first, as second
+    ex_salt = 0
     for mask in masks:
         moved = 0
         while mask:
             low = mask & -mask
             moved |= position[low.bit_length() - 1]
             mask ^= low
-        table.append((moved, _alternation(moved, everything), _alternation(everything, moved)))
+        first = _against_all(moved, last)
+        # Led by the whole edge set, position 0 comes first and the set's picks start at 1.
+        second = 1 + _against_all(moved & ~1, last) if m else 0
+        table.append((moved, first, second))
+        ex_salt = max(ex_salt, first, second)
     firsts = sorted(table, key=lambda row: -row[1])
     seconds = sorted(table, key=lambda row: -row[2])
     best = max(a.bit_count() for a, _, _ in table)  # (A, A) alternates all of A
@@ -101,7 +129,7 @@ def ex_alt_salt(g: Graph, sigma: EdgeOrdering, masks: tuple[int, ...]) -> tuple[
                 break
             if (a | b).bit_count() > best:
                 best = max(best, _alternation(a, b))
-    return best, max(max(first, second) for _, first, second in table)
+    return best, ex_salt
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,9 @@ hyperedge size.  When an external lower bound exceeds cap, no clique can
 bind, so none is sought.  When the bounds meet, no search runs, and a
 general Kneser graph's adjacency is never built.  One rule names the lower
 witness, exact or not.
-When the budget runs out the result is an explicit [lb, ub] interval,
-never a wrong exact claim.
+When the budget runs out, or the graph is past a vertex cap that keeps the
+adjacency small, the result is an explicit [lb, ub] interval, never a
+wrong exact claim.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ from .hypergraphs import Hypergraph, KneserGraph
 
 # Default DSATUR node budget of `chromatic_number` and of every command.
 DSATUR_BUDGET = 10_000_000
+
+# Most vertices `chromatic_number` builds an adjacency for.  A general
+# Kneser graph's adjacency takes about N^2/8 bytes (50 MB here), and every
+# DSATUR node scans all N vertices; past the cap the bounds are returned as
+# an interval after 0 nodes.  K_12 at r = 3 (N = 13,860) still searches.
+SEARCH_VERTEX_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -118,7 +125,7 @@ def greedy_clique(g: Graph | KneserGraph, cap: int) -> tuple[int, ...]:
 
 def _canonicalize(coloring: Sequence[int]) -> tuple[int, ...]:
     remap = {c: i for i, c in enumerate(dict.fromkeys(coloring))}
-    return tuple([remap[c] for c in coloring])
+    return tuple(map(remap.__getitem__, coloring))
 
 
 def _dsatur(g: Graph | KneserGraph, lb: int, ub: int, best: tuple[int, ...],
@@ -201,7 +208,10 @@ def chromatic_number(
     DSATUR runs only while the start coloring has more colors than the
     lower bound.  The adjacency (``adj_masks``, ``degrees``) is read only by
     the clique and DSATUR, so on a general Kneser graph whose bounds meet
-    without a clique it is never built.
+    without a clique it is never built.  Past ``SEARCH_VERTEX_CAP`` vertices
+    neither runs: a single vertex stands in for the clique, and unless the
+    bounds meet the result is the interval [lb, ub] after 0 nodes, as when
+    the budget runs out.
     One rule names the witness of the certified lower end (chi when exact):
     "clique" if it equals the clique size, "external" if it equals
     ``known_lower``, else "exhausted".
@@ -222,15 +232,22 @@ def chromatic_number(
     cap = ub
     if isinstance(g, KneserGraph):
         cap = min(cap, g.source.ground_n // min(map(int.bit_count, g.source.masks)))
-    # Below an external bound the clique can neither raise lb nor be the witness.
-    clique = greedy_clique(g, cap) if known_lower is None or cap >= known_lower else ()
+    searchable = n <= SEARCH_VERTEX_CAP
+    if not searchable:
+        clique = (0,)  # one vertex, a clique that needs no adjacency
+    elif known_lower is None or cap >= known_lower:
+        clique = greedy_clique(g, cap)
+    else:
+        # Below an external bound the clique can neither raise lb nor be the witness.
+        clique = ()
     lb = max(len(clique), 1)
     if known_lower is not None:
         lb = max(lb, known_lower)
 
     # With the clique, DSATUR is the only reader of the adjacency.
     ub, best_coloring, nodes, exhausted = (
-        _dsatur(g, lb, ub, start, node_budget) if ub > lb else (ub, start, 0, True)
+        _dsatur(g, lb, ub, start, node_budget) if ub > lb and searchable
+        else (ub, start, 0, ub <= lb)
     )
     if known_lower is not None and ub < known_lower:
         raise CertificateError(
@@ -277,8 +294,14 @@ def coloring_from_extremal(h: Hypergraph, free) -> tuple[int, ...]:
     outside = [mask & ~free_mask for mask in h.masks]
     if 0 in outside:
         raise CertificateError("the free set contains a hyperedge")
-    # The rank of the lowest outside element counts the outside elements below it.
-    return tuple([(((o & -o) - 1) & ~free_mask).bit_count() for o in outside])
+    # rank[e]: the outside elements below e, for each element e outside the set.
+    rank = [0] * h.ground_n
+    count = 0
+    for e in range(h.ground_n):
+        if not free_mask >> e & 1:
+            rank[e] = count
+            count += 1
+    return tuple([rank[(o & -o).bit_length() - 1] for o in outside])
 
 
 def export_dimacs(g: Graph) -> str:

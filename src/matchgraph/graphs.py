@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
-from .errors import GraphParseError, NotEulerianError
+from .errors import GraphParseError
 
 INFINITE = math.inf
 
@@ -203,10 +203,16 @@ def _is_bipartite(g: Graph) -> bool:
 def odd_girth(g: Graph) -> int | float:
     """Length of a shortest odd cycle; INFINITE when the graph is bipartite.
 
-    A bipartite graph is answered by one BFS per component.  Otherwise BFS
-    runs from every vertex; an edge inside level d closes an odd walk of
-    length 2d + 1, and the minimum over all roots is the odd girth.
+    An edge whose two ends share a neighbour closes a triangle, and then the
+    answer is 3 with no BFS at all.  A bipartite graph is answered by one
+    BFS per component.  Otherwise BFS runs from every vertex; an edge inside
+    level d closes an odd walk of length 2d + 1, and the minimum over all
+    roots is the odd girth.
     """
+    adj = g.adj_masks
+    for u, v in g.edges:
+        if adj[u] & adj[v]:
+            return 3
     if _is_bipartite(g):
         return INFINITE
     best = INFINITE
@@ -218,67 +224,6 @@ def odd_girth(g: Graph) -> int | float:
                 best = 2 * depth + 1
                 break
     return best
-
-
-# ---------------------------------------------------------------------------
-# Eulerian tours.
-# ---------------------------------------------------------------------------
-
-def eulerian_tour(edges: Mapping[int, tuple[int, int]], start: int) -> list[int]:
-    """Deterministic Eulerian tour of a multigraph, as a sequence of edge ids.
-
-    ``edges`` maps each edge id to its end pair; parallel edges are allowed
-    and vertex labels are arbitrary ints.  Only these edges are read, so a
-    tour costs time in their number alone.  Hierholzer with splicing; at
-    every vertex the unused incident edge with the smallest (neighbor, edge
-    id) is taken, which pins down the tour.  With no edges the tour is empty.
-
-    Raises NotEulerianError (naming a violating vertex) if some vertex has
-    odd degree, or if the edges are disconnected or do not meet ``start``.
-    """
-    inc: dict[int, list[tuple[int, int]]] = {}
-    for eid, (u, v) in edges.items():
-        inc.setdefault(u, []).append((v, eid))
-        inc.setdefault(v, []).append((u, eid))
-    for v in sorted(inc):
-        if len(inc[v]) % 2 == 1:
-            raise NotEulerianError(f"vertex {v} has odd degree", vertex=v)
-    if not edges:
-        return []
-    if start not in inc:
-        raise NotEulerianError(
-            f"start vertex {start} has no selected edges", vertex=start
-        )
-    for lst in inc.values():
-        lst.sort()
-
-    pointer = dict.fromkeys(inc, 0)
-    used = set()
-    stack: list[tuple[int, int | None]] = [(start, None)]
-    out: list[int] = []
-    while stack:
-        v, entering = stack[-1]
-        lst = inc[v]
-        i = pointer[v]
-        while i < len(lst) and lst[i][1] in used:
-            i += 1
-        pointer[v] = i
-        if i == len(lst):
-            stack.pop()
-            if entering is not None:
-                out.append(entering)
-        else:
-            w, eid = lst[i]
-            used.add(eid)
-            stack.append((w, eid))
-    if len(out) != len(edges):
-        # Some edges were unreachable from start.
-        u = min(edges[min(edges.keys() - used)])
-        raise NotEulerianError(
-            f"edges unreachable from start {start} (e.g. at vertex {u})", vertex=u
-        )
-    out.reverse()
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ attaching an auxiliary vertex to the component's odd-degree vertices when
 needed) and lists the edges in tour order; along such an ordering no color
 of an alternating coloring can meet more than half of the edges at any
 non-start vertex, which is what makes the top-degree chromatic formula work
-on sparse graphs.  It hands ``graphs.eulerian_tour`` plain maps from edge id
-to end pair: host edges keep their ids, auxiliary edges are numbered after
-them, and auxiliary vertices are labelled above every host vertex.
+on sparse graphs.  Each tour is Hierholzer's walk on per-vertex bitmasks of
+the neighbours still to be left; a component's auxiliary vertex is bit n,
+above every host vertex, and a map local to the call turns the tour's vertex
+pairs back into edge ids.
 ``star_formula_conditions`` checks the formula's hypotheses one by one;
 ``has_independent_prefix`` is the search behind the one that is not a
 function of the degree sequence.
@@ -23,7 +24,6 @@ from .graphs import (
     Graph,
     _bits,
     component_masks,
-    eulerian_tour,
     is_connected,
     odd_girth,
 )
@@ -145,35 +145,50 @@ def euler_ordering(g: Graph) -> EdgeOrdering:
     """Edge ordering from deterministic Eulerian tours of the components.
 
     The components are toured in order of their lowest vertex.  A component
-    with odd-degree vertices gets an auxiliary vertex of its own, joined to
-    each of them, and its tour starts there; otherwise the tour starts at
-    the component's last vertex in order of non-increasing degree, ties by
-    ascending index.  Auxiliary vertices are labelled ``g.n, g.n + 1, ...``
-    and their edges get ids ``g.m, g.m + 1, ...``, so each component is
-    toured as it would be on its own.  Each tour reads only its component's
-    edges, so the whole ordering costs time linear in the host.  The tours
-    are projected onto the graph's own edges in traversal order.
+    with odd-degree vertices gets an auxiliary vertex, joined to each of
+    them, and its tour starts there; otherwise the tour starts at the
+    component's last vertex in order of non-increasing degree, ties by
+    ascending index.  Each tour is Hierholzer's walk on per-vertex masks of
+    the neighbours not yet left by an edge: from every vertex it takes the
+    smallest such neighbour, the lowest set bit.  The auxiliary vertex is
+    bit ``g.n``, so from a host vertex it is taken last, and each component
+    is toured as it would be on its own, in time linear in the host.  The
+    tours are projected onto the graph's own edges in traversal order.
     """
-    comps = component_masks(g)
-    label = [0] * g.n
-    for c, comp in enumerate(comps):
-        for v in _bits(comp):
-            label[v] = c
-    buckets: list[dict[int, tuple[int, int]]] = [{} for _ in comps]
-    for e, pair in enumerate(g.edges):
-        buckets[label[pair[0]]][e] = pair
-    eid, aux = g.m, g.n
+    n = g.n
+    aux = 1 << n
+    left = [*g.adj_masks, 0]
+    degrees = g.degrees
+    index = {pair: e for e, pair in enumerate(g.edges)}
     order: list[int] = []
-    for comp, edges in zip(comps, buckets):
+    for comp in component_masks(g):
         members = _bits(comp)
-        odd = [v for v in members if g.degrees[v] % 2 == 1]
+        odd = 0
+        for v in members:
+            if degrees[v] & 1:
+                odd |= 1 << v
+                left[v] |= aux
         if odd:
-            for v in odd:
-                edges[eid] = (v, aux)
-                eid += 1
-            start = aux
-            aux += 1
+            left[n] = odd
+            start = n
         else:
-            start = max(members, key=lambda v: (-g.degrees[v], v))
-        order.extend(e for e in eulerian_tour(edges, start) if e < g.m)
+            start = max(members, key=lambda v: (-degrees[v], v))
+        stack = [start]
+        tour = []  # edges as (from, to) pairs, in reverse tour order
+        while stack:
+            v = stack[-1]
+            out = left[v]
+            if out:
+                low = out & -out
+                left[v] = out ^ low
+                w = low.bit_length() - 1
+                left[w] ^= 1 << v
+                stack.append(w)
+            else:
+                stack.pop()
+                if stack:
+                    tour.append((stack[-1], v))
+        for u, v in reversed(tour):
+            if u != n and v != n:
+                order.append(index[(u, v) if u < v else (v, u)])
     return EdgeOrdering(tuple(order))

@@ -160,7 +160,8 @@ def maximal_free_masks(g: Graph, r: int) -> tuple[int, ...]:
         seen.add(mask)
     kept: list[int] = []
     holders = [0] * g.m  # per edge, bit j is set when kept[j] holds the edge
-    for mask in sorted(seen, key=lambda mk: (-mk.bit_count(), mk)):
+    # Largest first, ties by value: the second sort is stable, reversed or not.
+    for mask in sorted(sorted(seen), key=int.bit_count, reverse=True):
         # Every kept mask is at least as large, so only they can contain it,
         # and one does iff it holds every edge of the mask.
         containers = (1 << len(kept)) - 1

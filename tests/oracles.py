@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, permutations, product
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import networkx as nx
 
@@ -295,6 +295,76 @@ def odd_girth_by_root_bfs(g: Graph):
     return best
 
 
+class NotEulerianError(ValueError):
+    """Raised when an Eulerian tour is requested on a non-Eulerian (multi)graph.
+
+    Carries the offending vertex in ``vertex``.
+    """
+
+    def __init__(self, message, vertex):
+        super().__init__(message)
+        self.vertex = vertex
+
+
+def eulerian_tour(edges: Mapping[int, tuple[int, int]], start: int) -> list[int]:
+    """Deterministic Eulerian tour of a multigraph, as a sequence of edge ids.
+
+    ``edges`` maps each edge id to its end pair; parallel edges are allowed
+    and vertex labels are arbitrary ints.  Only these edges are read, so a
+    tour costs time in their number alone.  Hierholzer with splicing; at
+    every vertex the unused incident edge with the smallest (neighbor, edge
+    id) is taken, which pins down the tour.  With no edges the tour is empty.
+
+    Raises NotEulerianError (naming a violating vertex) if some vertex has
+    odd degree, or if the edges are disconnected or do not meet ``start``.
+    The reference for ``euler_ordering``'s walk on neighbour masks
+    (``euler_ordering_by_tours``).
+    """
+    inc: dict[int, list[tuple[int, int]]] = {}
+    for eid, (u, v) in edges.items():
+        inc.setdefault(u, []).append((v, eid))
+        inc.setdefault(v, []).append((u, eid))
+    for v in sorted(inc):
+        if len(inc[v]) % 2 == 1:
+            raise NotEulerianError(f"vertex {v} has odd degree", vertex=v)
+    if not edges:
+        return []
+    if start not in inc:
+        raise NotEulerianError(
+            f"start vertex {start} has no selected edges", vertex=start
+        )
+    for lst in inc.values():
+        lst.sort()
+
+    pointer = dict.fromkeys(inc, 0)
+    used = set()
+    stack: list[tuple[int, int | None]] = [(start, None)]
+    out: list[int] = []
+    while stack:
+        v, entering = stack[-1]
+        lst = inc[v]
+        i = pointer[v]
+        while i < len(lst) and lst[i][1] in used:
+            i += 1
+        pointer[v] = i
+        if i == len(lst):
+            stack.pop()
+            if entering is not None:
+                out.append(entering)
+        else:
+            w, eid = lst[i]
+            used.add(eid)
+            stack.append((w, eid))
+    if len(out) != len(edges):
+        # Some edges were unreachable from start.
+        u = min(edges[min(edges.keys() - used)])
+        raise NotEulerianError(
+            f"edges unreachable from start {start} (e.g. at vertex {u})", vertex=u
+        )
+    out.reverse()
+    return out
+
+
 def tour_is_valid(edges, tour, start) -> bool:
     """Eulerian tour predicate for ``edges`` (edge id -> end pair): every
     edge once, consecutive edges share endpoints, tour starts and ends at
@@ -332,6 +402,32 @@ def euler_by_components(g: Graph):
                 edges.append((relabel[u], relabel[v]))
         piece = Graph(len(vertices), tuple(edges))
         order.extend(eids[p] for p in euler_ordering(piece).perm)
+    return EdgeOrdering(tuple(order))
+
+
+def euler_ordering_by_tours(g: Graph) -> EdgeOrdering:
+    """The Euler ordering as ``euler_ordering`` defined it before its walk
+    on neighbour masks: ``eulerian_tour`` on a map from edge id to end pair
+    per component.  Host edges keep their ids, auxiliary edges are numbered
+    after them, and auxiliary vertices are labelled above every host
+    vertex."""
+    from matchgraph.graphs import component_masks
+
+    eid, aux = g.m, g.n
+    order: list[int] = []
+    for comp in component_masks(g):
+        members = _bits(comp)
+        edges = {e: (u, v) for e, (u, v) in enumerate(g.edges) if comp >> u & 1}
+        odd = [v for v in members if g.degrees[v] % 2 == 1]
+        if odd:
+            for v in odd:
+                edges[eid] = (v, aux)
+                eid += 1
+            start = aux
+            aux += 1
+        else:
+            start = max(members, key=lambda v: (-g.degrees[v], v))
+        order.extend(e for e in eulerian_tour(edges, start) if e < g.m)
     return EdgeOrdering(tuple(order))
 
 

@@ -17,7 +17,7 @@ from matchgraph import (
     turan_matchings,
 )
 from matchgraph import turan
-from matchgraph.alternation import ex_alt_salt
+from matchgraph.alternation import _against_all, _alternation, ex_alt_salt
 
 from tests.oracles import (
     alt,
@@ -48,6 +48,28 @@ def test_edge_ordering():
     assert EdgeOrdering.identity(3).perm == (0, 1, 2)
     with pytest.raises(ValueError):
         EdgeOrdering((0, 0, 1))
+
+
+@pytest.mark.parametrize("perm", [(0, 1.9, 2), (True, 0), (0, "1"), (1.0, 0.0)])
+def test_edge_ordering_rejects_non_int_entries(perm):
+    # entries are not truncated to ints, as Graph does not truncate its labels
+    with pytest.raises(ValueError, match="not an int"):
+        EdgeOrdering(perm)
+
+
+def test_closed_form_rows_against_greedy_alternation():
+    # a set's alternations against the whole edge set, led by the set and
+    # led by the whole set, in closed form and by the greedy
+    rng = random.Random(83)
+    for m in range(1, 41):
+        everything = (1 << m) - 1
+        last = 1 << (m - 1)
+        sets = [0, 1, last, 1 | last, everything, everything ^ 1, everything ^ last]
+        sets += [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(40)]
+        sets += [rng.getrandbits(m) | 1 | rng.choice((0, last)) for _ in range(20)]
+        for moved in sets:
+            assert _against_all(moved, last) == _alternation(moved, everything), (m, moved)
+            assert 1 + _against_all(moved & ~1, last) == _alternation(everything, moved), (m, moved)
 
 
 def test_alt_sigma_examples():

@@ -707,3 +707,34 @@ def test_cli_fuzz_never_raises(tmp_path, capsys):
         assert (code == EXIT_USAGE) == err.startswith("error: "), (args, err)
         codes.append(code)
     assert {EXIT_OK, EXIT_USAGE, EXIT_INTERVAL} <= set(codes)
+
+
+def test_cmd_analyze_past_the_vertex_cap_builds_no_adjacency(tmp_path):
+    # K_16 at r = 3: N = 120,120 matchings, whose adjacency would take about
+    # 1.8 GB; the bound gives 89, the start coloring 91 and the packing cap
+    # 40, so no clique can bind and no search runs
+    path = tmp_path / "k16.txt"
+    path.write_text(format_graph(make_complete(16)), encoding="ascii")
+    code = (
+        "import json, resource, sys\n"
+        "import matchgraph.cli as cli, matchgraph.hypergraphs as h\n"
+        "built = []\n"
+        "real = h.general_kneser\n"
+        "h.general_kneser = lambda x: built.append(real(x)) or built[-1]\n"
+        "report = cli.cmd_analyze(sys.argv[1], 3)\n"
+        "print(json.dumps({'code': cli._exit_code(report), 'results': report['results'],\n"
+        "    'adjacency': any('adj_masks' in vars(k) for k in built),\n"
+        "    'rss_mb': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(matchgraph.cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    got = json.loads(out.stdout)
+    assert got["code"] == EXIT_INTERVAL
+    assert got["results"]["matching_graph_vertices"] == 120120
+    assert got["results"]["chi_interval"] == [89, 91]
+    assert got["results"]["search_nodes"] == 0
+    assert not got["adjacency"]
+    assert got["rss_mb"] < 100

@@ -334,3 +334,40 @@ def test_clique_seed_kept_where_it_is_the_witness(monkeypatch, tmp_path):
     assert calls == [3]
     assert res["lower_witness"] == {"kind": "clique", "value": [0, 1, 2]}
     assert res["chi"] == 3
+
+
+def test_vertex_cap_returns_bounds_without_adjacency(monkeypatch):
+    # KG(K_4, 2K2) is a triangle: bound 2, start coloring 3, chi 3
+    kg = matching_graph(make_complete(4), 2)
+    start = coloring_from_extremal(kg.source, turan_matchings(make_complete(4), 2).extremal_edges)
+    monkeypatch.setattr(coloring, "SEARCH_VERTEX_CAP", 3)
+    cert = chromatic_number(kg, known_lower=2, initial_coloring=start)
+    assert (cert.chi, cert.exact, cert.lower_witness) == (3, True, ("clique", (0, 1, 2)))
+    assert "adj_masks" in vars(kg)
+    monkeypatch.setattr(coloring, "SEARCH_VERTEX_CAP", 2)
+    kg = matching_graph(make_complete(4), 2)
+    cert = chromatic_number(kg, known_lower=2, initial_coloring=start)
+    assert (cert.chi, cert.exact, cert.bounds, cert.nodes) == (None, False, (2, 3), 0)
+    assert cert.lower_witness == ("external", "alternation bound")
+    assert "adj_masks" not in vars(kg)
+    # meeting bounds past the cap stay exact
+    cert = chromatic_number(kg, known_lower=3, initial_coloring=start)
+    assert (cert.chi, cert.exact, cert.nodes) == (3, True, 0)
+    assert cert.lower_witness == ("external", "alternation bound")
+    assert "adj_masks" not in vars(kg)
+    # without an external bound one vertex is the clique behind lb = 1
+    cert = chromatic_number(make_cycle(5))
+    assert (cert.exact, cert.bounds, cert.nodes) == (False, (1, 5), 0)
+    assert cert.lower_witness == ("clique", (0,))
+    assert is_proper(make_cycle(5), cert.coloring)
+
+
+def test_vertex_cap_reaches_analyze_as_an_interval(monkeypatch, tmp_path):
+    path = tmp_path / "k4.txt"
+    path.write_text(format_graph(make_complete(4)), encoding="ascii")
+    assert cmd_analyze(str(path), 2)["results"]["chi"] == 3
+    monkeypatch.setattr(coloring, "SEARCH_VERTEX_CAP", 2)
+    report = cmd_analyze(str(path), 2)
+    assert report["results"]["chi_interval"] == [2, 3]
+    assert report["results"]["search_nodes"] == 0
+    assert report["exactness"]["chi"] == "interval"

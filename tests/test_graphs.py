@@ -8,8 +8,6 @@ import pytest
 from matchgraph import (
     Graph,
     GraphParseError,
-    NotEulerianError,
-    eulerian_tour,
     format_graph,
     make_complete,
     make_complete_bipartite,
@@ -24,6 +22,8 @@ from matchgraph import graphs
 from matchgraph.graphs import component_masks, is_connected
 
 from tests.oracles import (
+    NotEulerianError,
+    eulerian_tour,
     odd_girth_by_cycle_enumeration,
     odd_girth_by_root_bfs,
     random_graph,
@@ -141,6 +141,44 @@ def test_odd_girth_against_root_bfs():
         assert got == odd_girth_by_root_bfs(g)
         answers.add(got)
     assert math.inf in answers and {3, 5} <= answers
+
+
+def _triangle_free(rng, n, p):
+    """Random triangle-free graph: edges offered in random order, each kept
+    when its ends share no neighbour yet."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rng.shuffle(pairs)
+    adj = [0] * n
+    edges = []
+    for u, v in pairs:
+        if rng.random() < p and not adj[u] & adj[v]:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.append((u, v))
+    return Graph(n, tuple(sorted(edges)))
+
+
+def test_odd_girth_with_triangle_test_against_cycle_enumeration(monkeypatch):
+    triangle_c5 = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)))
+    named = [make_cycle(5), make_cycle(7), make_cycle(9), PETERSEN, triangle_c5]
+    assert [odd_girth(g) for g in named] == [5, 7, 9, 5, 3]
+    rng = random.Random(59)
+    hosts = named[:]
+    for i in range(300):
+        n = rng.randint(1, 9)
+        hosts.append(_triangle_free(rng, n, rng.random()) if i % 2 else
+                     random_graph(rng, n, rng.random()))
+    answers = []
+    for g in hosts:
+        answers.append(odd_girth(g))
+        assert answers[-1] == odd_girth_by_cycle_enumeration(g), g.edges
+    # triangle-free hosts that are not bipartite reach the per-root BFS
+    assert {3, 5, 7, math.inf} <= set(answers)
+    calls = []
+    walk = graphs._bfs_levels
+    monkeypatch.setattr(graphs, "_bfs_levels", lambda *args: calls.append(1) or walk(*args))
+    assert odd_girth(triangle_c5) == 3 and odd_girth(make_complete(30)) == 3
+    assert calls == []  # a shared neighbour answers 3 before any BFS
 
 
 def test_odd_girth_of_bipartite_host_runs_one_bfs_per_component(monkeypatch):

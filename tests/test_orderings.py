@@ -1,5 +1,8 @@
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +23,11 @@ from matchgraph.cli import _solve
 from matchgraph.coloring import DSATUR_BUDGET
 from matchgraph.graphs import component_masks
 from matchgraph.orderings import has_independent_prefix
+from matchgraph.smallgraphs import connected_graphs_up_to
 
 from tests.oracles import (
     euler_by_components,
+    euler_ordering_by_tours,
     independent_prefix_by_combinations,
     random_connected_graph,
     random_graph,
@@ -111,6 +116,29 @@ def test_euler_ordering_tours_each_component_as_its_own_graph():
         kinds.add("connected" if len(comps) == 1 else "disconnected")
         assert euler_ordering(g) == euler_by_components(g), g.edges
     assert kinds == {"isolated", "odd", "eulerian", "connected", "disconnected"}
+
+
+def _analyze_r2_hosts():
+    """The 100 fixed hosts of the benchmark's analyze-r2 workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return [Graph(n, tuple(edges)) for n, edges in module.AnalyzeWorkload().hosts()]
+
+
+def test_euler_ordering_equals_the_multigraph_tour():
+    # the walk on neighbour masks against eulerian_tour on edge-id maps
+    rng = random.Random(71)
+    hosts = [random_graph(rng, rng.randint(1, 12), rng.random()) for _ in range(3000)]
+    assert sum(len(component_masks(g)) > 1 for g in hosts) > 900  # 962 disconnected
+    scan = list(connected_graphs_up_to(7))
+    assert len(scan) == 996
+    analyzed = _analyze_r2_hosts()
+    assert len(analyzed) == 100
+    for g in hosts + scan + analyzed:
+        assert euler_ordering(g) == euler_ordering_by_tours(g), (g.n, g.edges)
 
 
 def _color_counts_at_vertices(g, sigma):
