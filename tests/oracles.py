@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import networkx as nx
 
 from matchgraph import CapacityError, EdgeOrdering, Graph, Hypergraph
-from matchgraph.graphs import _bits
+from matchgraph.graphs import _bits, component_masks
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +317,6 @@ def eulerian_tour(edges: Mapping[int, tuple[int, int]], start: int) -> list[int]
 
     Raises NotEulerianError (naming a violating vertex) if some vertex has
     odd degree, or if the edges are disconnected or do not meet ``start``.
-    The reference for ``euler_ordering``'s walk on neighbour masks
-    (``euler_ordering_by_tours``).
     """
     inc: dict[int, list[tuple[int, int]]] = {}
     for eid, (u, v) in edges.items():
@@ -389,7 +387,6 @@ def euler_by_components(g: Graph):
     ``euler_ordering`` there, and the orderings are mapped back and joined
     in order of the components' lowest vertices."""
     from matchgraph import EdgeOrdering, euler_ordering
-    from matchgraph.graphs import component_masks
 
     order: list[int] = []
     for comp in component_masks(g):
@@ -406,13 +403,11 @@ def euler_by_components(g: Graph):
 
 
 def euler_ordering_by_tours(g: Graph) -> EdgeOrdering:
-    """The Euler ordering as ``euler_ordering`` defined it before its walk
-    on neighbour masks: ``eulerian_tour`` on a map from edge id to end pair
-    per component.  Host edges keep their ids, auxiliary edges are numbered
-    after them, and auxiliary vertices are labelled above every host
-    vertex."""
-    from matchgraph.graphs import component_masks
-
+    """The Euler ordering from ``eulerian_tour`` on one map from edge id to
+    end pair per component, the reference for ``euler_ordering``'s walk on
+    neighbour masks.  Host edges keep their ids, auxiliary edges are
+    numbered after them, and auxiliary vertices are labelled above every
+    host vertex."""
     eid, aux = g.m, g.n
     order: list[int] = []
     for comp in component_masks(g):

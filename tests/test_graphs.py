@@ -41,6 +41,10 @@ PETERSEN = Graph(
 )
 
 
+# a triangle and a C5 sharing vertex 2
+TRIANGLE_C5 = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)))
+
+
 def test_generators_canonical():
     c5 = make_cycle(5)
     assert c5.n == 5 and c5.m == 5
@@ -117,13 +121,6 @@ def test_odd_girth_edgeless_host_is_linear():
     assert time.perf_counter() - started < 2
 
 
-def test_odd_girth_against_cycle_enumeration():
-    rng = random.Random(23)
-    for _ in range(50):
-        g = random_graph(rng, rng.randint(3, 8), rng.random())
-        assert odd_girth(g) == odd_girth_by_cycle_enumeration(g)
-
-
 def test_odd_girth_against_root_bfs():
     # bipartite hosts are answered by the per-component BFS, the others by
     # the per-root search; both must agree with a BFS from every root
@@ -158,27 +155,32 @@ def _triangle_free(rng, n, p):
     return Graph(n, tuple(sorted(edges)))
 
 
-def test_odd_girth_with_triangle_test_against_cycle_enumeration(monkeypatch):
-    triangle_c5 = Graph(7, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 6)))
-    named = [make_cycle(5), make_cycle(7), make_cycle(9), PETERSEN, triangle_c5]
+def test_odd_girth_against_cycle_enumeration():
+    # named odd cycles, then random graphs, half of them triangle-free so
+    # that the per-root BFS runs past the triangle test
+    named = [make_cycle(5), make_cycle(7), make_cycle(9), PETERSEN, TRIANGLE_C5]
     assert [odd_girth(g) for g in named] == [5, 7, 9, 5, 3]
+    rng = random.Random(23)
+    hosts = [random_graph(rng, rng.randint(3, 8), rng.random()) for _ in range(50)]
     rng = random.Random(59)
-    hosts = named[:]
     for i in range(300):
         n = rng.randint(1, 9)
         hosts.append(_triangle_free(rng, n, rng.random()) if i % 2 else
                      random_graph(rng, n, rng.random()))
-    answers = []
-    for g in hosts:
-        answers.append(odd_girth(g))
-        assert answers[-1] == odd_girth_by_cycle_enumeration(g), g.edges
-    # triangle-free hosts that are not bipartite reach the per-root BFS
-    assert {3, 5, 7, math.inf} <= set(answers)
+    answers = set()
+    for g in named + hosts:
+        got = odd_girth(g)
+        assert got == odd_girth_by_cycle_enumeration(g), g.edges
+        answers.add(got)
+    assert {3, 5, 7, math.inf} <= answers
+
+
+def test_odd_girth_with_a_triangle_runs_no_bfs(monkeypatch):
     calls = []
     walk = graphs._bfs_levels
     monkeypatch.setattr(graphs, "_bfs_levels", lambda *args: calls.append(1) or walk(*args))
-    assert odd_girth(triangle_c5) == 3 and odd_girth(make_complete(30)) == 3
-    assert calls == []  # a shared neighbour answers 3 before any BFS
+    assert odd_girth(TRIANGLE_C5) == 3 and odd_girth(make_complete(30)) == 3
+    assert calls == []  # a shared neighbour answers 3 first
 
 
 def test_odd_girth_of_bipartite_host_runs_one_bfs_per_component(monkeypatch):
